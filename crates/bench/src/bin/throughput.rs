@@ -14,10 +14,10 @@ use eqasm_microarch::SimConfig;
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::loadgen::RpsStep;
 use eqasm_runtime::{
-    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ConnectOptions, ExecBackend, Job,
-    JobQueue, JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend,
-    ServeConfig, ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget,
-    WorkerConfig, WorkloadKind, WorkloadSpec,
+    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ExecBackend, Job, JobQueue,
+    JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend, ServeConfig,
+    ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget, WorkerConfig,
+    WorkloadKind, WorkloadSpec,
 };
 use eqasm_workloads::rb_program;
 
@@ -446,7 +446,7 @@ fn main() {
         "\nelastic: 1 -> {elastic_slots} slots mid-run, {before_rate:.0} shots/s degraded -> {after_rate:.0} shots/s after attach (bit-identical)"
     );
 
-    // Client front door: the same job submitted over the wire-v2
+    // Client front door: the same job submitted over the wire
     // serve acceptor by a TCP client, streaming partial snapshots —
     // pricing the full networked path (submit → schedule → stream →
     // final), with the result asserted bit-identical as always.
@@ -485,10 +485,9 @@ fn main() {
         "\nclient front door: {shots} shots submitted over TCP, {snapshots_streamed} snapshots streamed, {client_rate:.0} shots/s (bit-identical)"
     );
 
-    // Job-registry bandwidth: the same 8 ranges through a v2
-    // connection (LoadJob once + RunRangeById) and a v1-pinned one
-    // (full job bytes per range) — the measured per-range request
-    // cost the wire-v2 registry removes.
+    // Job-registry bandwidth: 8 ranges through one connection
+    // (LoadJob once, then constant-size RunRangeById requests) — the
+    // measured per-range request cost.
     let blistener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let bworker = spawn_worker(
         blistener,
@@ -497,39 +496,24 @@ fn main() {
             .with_capacity(2),
     )
     .expect("spawn bytes worker");
-    let mut v2_backend = RemoteBackend::connect(bworker.addr().to_string()).expect("v2 connects");
-    let mut v1_backend = RemoteBackend::connect_opts(
-        bworker.addr().to_string(),
-        ConnectOptions::default().with_protocol_cap(1),
-    )
-    .expect("v1 connects");
-    assert!(
-        v2_backend.protocol() >= 2,
-        "default negotiation must land on a registry-capable version"
-    );
-    assert_eq!(v1_backend.protocol(), 1);
+    let mut backend = RemoteBackend::connect(bworker.addr().to_string()).expect("connects");
     let bench_ranges = 8u64;
     let range_shots = (shots / bench_ranges).max(1);
+    let mut local = LocalBackend::new(0);
     for i in 0..bench_ranges {
         let range = i * range_shots..(i + 1) * range_shots;
-        let a = v2_backend.run_range(&job, range.clone()).expect("v2 range");
-        let b = v1_backend.run_range(&job, range).expect("v1 range");
-        assert_eq!(a.histogram, b.histogram, "both protocols agree");
+        let a = backend
+            .run_range(&job, range.clone())
+            .expect("remote range");
+        let b = local.run_range(&job, range).expect("local range");
+        assert_eq!(a.histogram, b.histogram, "remote and local ranges agree");
     }
-    let t2 = v2_backend.traffic();
-    let t1 = v1_backend.traffic();
-    let per_range_v2 = t2.range_request_bytes / t2.range_requests.max(1);
-    let per_range_v1 = t1.range_request_bytes / t1.range_requests.max(1);
-    assert!(
-        per_range_v2 < per_range_v1,
-        "RunRangeById must reduce per-range request bytes"
-    );
+    let traffic = backend.traffic();
+    let per_range = traffic.range_request_bytes / traffic.range_requests.max(1);
     println!(
-        "job registry: {per_range_v1} B/range (v1 inline) -> {per_range_v2} B/range (v2 by-id), \
-         one-time LoadJob {} B; total request bytes {} -> {}",
-        t2.load_request_bytes,
-        t1.total_request_bytes(),
-        t2.total_request_bytes(),
+        "job registry: {per_range} B/range by id, one-time LoadJob {} B; total request bytes {}",
+        traffic.load_request_bytes,
+        traffic.total_request_bytes(),
     );
 
     // Per-job wire bytes with and without the varint+RLE compression
@@ -632,15 +616,13 @@ fn main() {
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"run_range_bytes_v1\": {per_range_v1},\n    \"run_range_bytes_v2\": {per_range_v2},\n    \"bytes_saved_per_range\": {},\n    \"load_job_bytes_once\": {},\n    \"load_job_bytes_raw\": {load_job_raw},\n    \"load_job_bytes_compressed\": {load_job_auto},\n    \"total_request_bytes_v1\": {},\n    \"total_request_bytes_v2\": {}\n  }},\n  \"capacity\":\n{}\n}}\n",
+        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"run_range_bytes_v2\": {per_range},\n    \"load_job_bytes_once\": {},\n    \"load_job_bytes_raw\": {load_job_raw},\n    \"load_job_bytes_compressed\": {load_job_auto},\n    \"total_request_bytes_v2\": {}\n  }},\n  \"capacity\":\n{}\n}}\n",
         rows.join(",\n"),
         sp_rows.join(",\n"),
         serve_rows.join(",\n"),
         exposition.len(),
-        per_range_v1 - per_range_v2,
-        t2.load_request_bytes,
-        t1.total_request_bytes(),
-        t2.total_request_bytes(),
+        traffic.load_request_bytes,
+        traffic.total_request_bytes(),
         capacity.to_json("  ")
     );
     std::fs::write(&out_path, &json).expect("write trajectory point");

@@ -86,8 +86,6 @@ pub enum BackendKind {
     Remote {
         /// The worker's address (`host:port`).
         addr: String,
-        /// The negotiated protocol version.
-        protocol: u16,
     },
 }
 
@@ -109,8 +107,8 @@ impl std::fmt::Display for BackendDescriptor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.kind {
             BackendKind::Local => write!(f, "{} (local)", self.name),
-            BackendKind::Remote { addr, protocol } => {
-                write!(f, "{} (remote {addr}, wire v{protocol})", self.name)
+            BackendKind::Remote { addr } => {
+                write!(f, "{} (remote {addr})", self.name)
             }
         }
     }

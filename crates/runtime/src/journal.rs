@@ -27,7 +27,7 @@
 //!
 //! * `Admit` — job id, the job's [`crate::wire::encode_job`] bytes
 //!   (compressed with the same varint+RLE codec and
-//!   [`crate::wire::COMPRESSED_JOB_ID_FLAG`] convention as a v3
+//!   [`crate::wire::COMPRESSED_JOB_ID_FLAG`] convention as a
 //!   `LoadJob`), and the tenant name.
 //! * `RangeDone` — job id, batch index, shot range, and the batch's
 //!   encoded [`crate::BatchOut`]. Carrying the full batch result is
@@ -314,7 +314,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 // Record payloads
 // ---------------------------------------------------------------------
 
-/// Builds an `Admit` payload. Job bytes reuse the v2 `LoadJob`
+/// Builds an `Admit` payload. Job bytes reuse the `LoadJob`
 /// compression convention: ship compressed when that shrinks them,
 /// flagged via [`wire::COMPRESSED_JOB_ID_FLAG`] on the id word.
 pub(crate) fn admit_payload(job_id: u64, tenant: &str, job: &Job) -> Result<Vec<u8>, WireError> {
@@ -807,13 +807,19 @@ pub(crate) fn spawn(
     std::fs::create_dir_all(&config.dir).map_err(|e| io_err(&config.dir, e))?;
     let file = create_segment(&config.dir, next_segment, 0, next_job_id)?;
     crate::metrics::rt().journal_fsyncs.inc();
+    start_writer(config, file, next_segment)
+}
+
+/// Starts the journal thread appending to `file`, the open segment
+/// `index`.
+fn start_writer(config: &JournalConfig, file: File, index: u64) -> Result<Journal, JournalError> {
     let (tx, rx) = mpsc::channel();
     let mut writer = SegmentWriter {
         dir: config.dir.clone(),
         fsync: config.fsync,
         file,
-        index: next_segment,
-        oldest: next_segment,
+        index,
+        oldest: index,
         append_failed: false,
     };
     let thread = std::thread::Builder::new()
@@ -824,6 +830,17 @@ pub(crate) fn spawn(
         handle: JournalHandle { tx },
         thread,
     })
+}
+
+/// A journal whose every append fails — its segment is open
+/// read-only — standing in for a failed disk in tests of the
+/// durability outcome.
+#[cfg(test)]
+pub(crate) fn spawn_unwritable(config: &JournalConfig) -> Journal {
+    std::fs::create_dir_all(&config.dir).expect("create journal dir");
+    drop(create_segment(&config.dir, 0, 0, 0).expect("create segment"));
+    let file = File::open(segment_path(&config.dir, 0)).expect("reopen segment read-only");
+    start_writer(config, file, 0).expect("start journal thread")
 }
 
 /// The journal thread's state: the open tail segment and the fsync

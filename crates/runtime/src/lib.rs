@@ -40,8 +40,8 @@
 //! * [`wire`] — the hand-rolled, length-prefixed, versioned binary
 //!   protocol behind [`RemoteBackend`] and the serve front door:
 //!   explicit encoders for jobs, batch results, snapshots and
-//!   submissions; a magic + **negotiating** handshake (v2 offers,
-//!   falls back to v1 so old workers keep serving); the v2 **job
+//!   submissions; a magic + exact-match version handshake (one wire
+//!   version, every peer built from this workspace); the **job
 //!   registry** (`LoadJob`/`RunRangeById` against a capacity-bounded
 //!   worker-side LRU, with a typed `JobNotLoaded` miss the client
 //!   recovers transparently — constant-size range requests instead of

@@ -25,7 +25,7 @@
 //! against (the `capacity` section of `BENCH_runtime.json`).
 //!
 //! [`churn_sweep`] is the subscriber-churn companion: instead of
-//! submissions it cycles watchers — connect, `SUBSCRIBE` (with a v4/v5
+//! submissions it cycles watchers — connect, `SUBSCRIBE` (with a
 //! resume point), read a few snapshots, disconnect — and verifies
 //! resume correctness on every reconnect while reporting cycle and
 //! reactor-wakeup rates.
@@ -1625,15 +1625,14 @@ pub fn churn_sweep(
                 // Raw subscribe: the Client API intentionally has no
                 // "abandon a live stream" — churn needs exactly that,
                 // so it speaks the wire directly.
-                let Ok((mut stream, ack)) = crate::net::handshake(&target.connect, &target.options)
+                let Ok((mut stream, _)) = crate::net::handshake(&target.connect, &target.options)
                 else {
                     std::thread::sleep(Duration::from_millis(20));
                     continue;
                 };
-                let resume_after = if ack.version >= 4 { last_seen } else { None };
                 let sub = wire::Subscribe {
                     job_id,
-                    resume_after,
+                    resume_after: last_seen,
                 };
                 if wire::write_frame(
                     &mut stream,
@@ -1662,7 +1661,7 @@ pub fn churn_sweep(
                             // Resume correctness: nothing older than
                             // the resume point (keepalives may repeat
                             // *at* it), nothing going backwards.
-                            if resume_after.is_some_and(|r| batches < r)
+                            if sub.resume_after.is_some_and(|r| batches < r)
                                 || stream_max.is_some_and(|m| batches < m)
                             {
                                 a.resume_violations += 1;
@@ -1688,7 +1687,7 @@ pub fn churn_sweep(
                 {
                     let mut a = accum.lock().expect("churn accum poisoned");
                     a.cycles += 1;
-                    if resume_after.is_some() {
+                    if sub.resume_after.is_some() {
                         a.resumed_cycles += 1;
                     }
                 }

@@ -54,8 +54,9 @@
 //!   connection-thread spawn costs one connection, never the daemon:
 //!   both are logged and survived.
 //!
-//! Workers trust their coordinators (no authentication or transport
-//! encryption in v1 — run them on a private network; see ROADMAP).
+//! Workers authenticate coordinators only when a pre-shared key is
+//! configured, and never encrypt the transport — run them on a
+//! private network; see ROADMAP.
 
 mod reactor;
 
@@ -79,8 +80,7 @@ use crate::job::Job;
 use crate::serve::JobQueue;
 use crate::wire::{
     self, AuthChallenge, AuthOk, AuthResponse, ErrorKind, ErrorMsg, Hello, HelloAck, LoadAck,
-    LoadJob, RunRange, RunRangeById, WireError, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    LoadJob, RunRangeById, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Default read/write deadline for remote requests. Generous — a
@@ -109,7 +109,7 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 // ---------------------------------------------------------------------
 
 /// Default worker-side job-cache capacity: how many distinct jobs a
-/// v2 connection keeps loaded (decoded + machine-built) at once.
+/// connection keeps loaded (decoded + machine-built) at once.
 pub const DEFAULT_JOB_CACHE_CAPACITY: usize = 8;
 
 /// Configuration of a worker daemon.
@@ -125,7 +125,7 @@ pub struct WorkerConfig {
     /// Pre-shared key; when set, every connection must pass the HMAC
     /// challenge–response before any other frame is interpreted.
     pub psk: Option<Psk>,
-    /// Per-connection capacity of the v2 job cache (LRU; clamped to
+    /// Per-connection capacity of the job cache (LRU; clamped to
     /// at least 1). A [`wire::RunRangeById`] naming an evicted job
     /// gets the typed `JobNotLoaded` miss and the client re-loads.
     pub job_cache_capacity: usize,
@@ -139,9 +139,6 @@ pub struct WorkerConfig {
     /// limiter. A connection that exceeds it gets a typed `Budget`
     /// rejection and is closed.
     pub max_requests_per_sec: Option<u32>,
-    /// Highest protocol version this worker will negotiate down *to*
-    /// from; lower it to pin a fleet to v1 during a staged rollout.
-    pub protocol_cap: u16,
     /// How often the (still-threaded) worker accept loop re-polls a
     /// quiet listener and the shutdown flag. The serve front door has
     /// no analogue — its reactor blocks in the poller with no
@@ -160,7 +157,6 @@ impl Default for WorkerConfig {
             job_cache_capacity: DEFAULT_JOB_CACHE_CAPACITY,
             max_frame_len: MAX_FRAME_LEN,
             max_requests_per_sec: None,
-            protocol_cap: PROTOCOL_VERSION,
             accept_poll: ACCEPT_POLL,
         }
     }
@@ -207,13 +203,6 @@ impl WorkerConfig {
         self
     }
 
-    /// Returns the config negotiating at most the given protocol
-    /// version (clamped into the supported range).
-    pub fn with_protocol_cap(mut self, cap: u16) -> Self {
-        self.protocol_cap = cap.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        self
-    }
-
     /// Returns the config with the given accept-loop poll interval
     /// (clamped to at least 1 ms to keep the loop from spinning).
     pub fn with_accept_poll(mut self, accept_poll: Duration) -> Self {
@@ -223,7 +212,7 @@ impl WorkerConfig {
 }
 
 // ---------------------------------------------------------------------
-// Shared connection policy: negotiation, auth, budgets
+// Shared connection policy: handshake, auth, budgets
 // ---------------------------------------------------------------------
 
 /// Options for the client side of a handshake — shared by
@@ -237,9 +226,6 @@ pub struct ConnectOptions {
     /// challenge–response (an unauthenticated ack is rejected — a
     /// configured key must never silently downgrade).
     pub psk: Option<Psk>,
-    /// Highest protocol version to offer (clamped into the supported
-    /// range); lower it to force a v1 conversation.
-    pub protocol_cap: u16,
 }
 
 impl Default for ConnectOptions {
@@ -247,7 +233,6 @@ impl Default for ConnectOptions {
         ConnectOptions {
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
             psk: None,
-            protocol_cap: PROTOCOL_VERSION,
         }
     }
 }
@@ -262,13 +247,6 @@ impl ConnectOptions {
     /// Returns the options authenticating with the given key.
     pub fn with_psk(mut self, psk: Psk) -> Self {
         self.psk = Some(psk);
-        self
-    }
-
-    /// Returns the options offering at most the given protocol
-    /// version.
-    pub fn with_protocol_cap(mut self, cap: u16) -> Self {
-        self.protocol_cap = cap.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
         self
     }
 }
@@ -311,21 +289,20 @@ struct AcceptPolicy<'a> {
     name: &'a str,
     capacity: u32,
     psk: Option<&'a Psk>,
-    protocol_cap: u16,
     max_frame_len: u32,
 }
 
-/// Runs the server side of the handshake: HELLO, version negotiation,
-/// optional PSK challenge–response, HELLO_ACK. Returns the negotiated
-/// version, or `None` when the connection should close (a typed error
-/// was already sent where possible).
-fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option<u16> {
+/// Runs the server side of the handshake: HELLO, the exact version
+/// match, optional PSK challenge–response, HELLO_ACK. Returns `false`
+/// when the connection should close (a typed error was already sent
+/// where possible).
+fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> bool {
     let hello = match wire::read_frame_limit(stream, policy.max_frame_len) {
         Ok((wire::tag::HELLO, payload)) => match Hello::decode(&payload) {
             Ok(hello) => hello,
             Err(e) => {
                 send_error(stream, ErrorKind::Malformed, format!("bad hello: {e}"));
-                return None;
+                return false;
             }
         },
         Ok((tag, _)) => {
@@ -334,29 +311,21 @@ fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option
                 ErrorKind::Malformed,
                 format!("expected hello, got frame tag {tag:#04x}"),
             );
-            return None;
+            return false;
         }
-        Err(_) => return None,
+        Err(_) => return false,
     };
-    let Some(negotiated) = wire::negotiate(hello.version, policy.protocol_cap) else {
-        send_error(
-            stream,
-            ErrorKind::Version,
-            format!(
-                "server speaks v{MIN_PROTOCOL_VERSION}..=v{}, client offered v{}",
-                policy.protocol_cap.min(PROTOCOL_VERSION),
-                hello.version
-            ),
-        );
-        return None;
-    };
+    if hello.version != PROTOCOL_VERSION {
+        send_error(stream, ErrorKind::Version, version_rejection(hello.version));
+        return false;
+    }
     if let Some(psk) = policy.psk {
         let server_nonce = fresh_nonce();
         let challenge = AuthChallenge {
             server_nonce: server_nonce.to_vec(),
         };
         if wire::write_frame(stream, wire::tag::AUTH_CHALLENGE, &challenge.encode()).is_err() {
-            return None;
+            return false;
         }
         let response = match wire::read_frame_limit(stream, policy.max_frame_len) {
             Ok((wire::tag::AUTH_RESPONSE, payload)) => match AuthResponse::decode(&payload) {
@@ -367,7 +336,7 @@ fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option
                         ErrorKind::Malformed,
                         format!("bad auth response: {e}"),
                     );
-                    return None;
+                    return false;
                 }
             },
             Ok((tag, _)) => {
@@ -376,9 +345,9 @@ fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option
                     ErrorKind::AuthFailed,
                     format!("expected auth response, got frame tag {tag:#04x}"),
                 );
-                return None;
+                return false;
             }
-            Err(_) => return None,
+            Err(_) => return false,
         };
         let expected = psk.client_proof(&server_nonce, &response.client_nonce);
         if !ct_eq(&expected, &response.proof) {
@@ -391,7 +360,7 @@ fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option
                 ErrorKind::AuthFailed,
                 "pre-shared-key proof mismatch".to_owned(),
             );
-            return None;
+            return false;
         }
         let ok = AuthOk {
             proof: psk
@@ -399,18 +368,21 @@ fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option
                 .to_vec(),
         };
         if wire::write_frame(stream, wire::tag::AUTH_OK, &ok.encode()).is_err() {
-            return None;
+            return false;
         }
     }
     let ack = HelloAck {
-        version: negotiated,
+        version: PROTOCOL_VERSION,
         capacity: policy.capacity,
         name: policy.name.to_owned(),
     };
-    if wire::write_frame(stream, wire::tag::HELLO_ACK, &ack.encode()).is_err() {
-        return None;
-    }
-    Some(negotiated)
+    wire::write_frame(stream, wire::tag::HELLO_ACK, &ack.encode()).is_ok()
+}
+
+/// The message of the `ERROR{kind=Version}` a server sends for an
+/// offer other than [`PROTOCOL_VERSION`] — it names both sides.
+fn version_rejection(offered: u16) -> String {
+    format!("server speaks v{PROTOCOL_VERSION}, client offered v{offered}")
 }
 
 /// Deadline on an accepted connection's handshake (and auth) rounds.
@@ -423,22 +395,19 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// stalling peer is cut off in bounded time. On success the deadline
 /// is cleared — post-handshake reads are paced by [`wait_readable`]'s
 /// own poll timeout, and legitimate batch responses may take long.
-fn accept_handshake_deadlined(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> Option<u16> {
+fn accept_handshake_deadlined(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> bool {
     if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
     {
-        return None;
+        return false;
     }
-    let Some(negotiated) = accept_handshake(stream, policy) else {
+    if !accept_handshake(stream, policy) {
         // Silent, stalling or otherwise failing peer cut off during
         // the deadlined handshake window.
         crate::metrics::rt().handshake_deadline_drops.inc();
-        return None;
-    };
-    if stream.set_read_timeout(None).is_err() || stream.set_write_timeout(None).is_err() {
-        return None;
+        return false;
     }
-    Some(negotiated)
+    stream.set_read_timeout(None).is_ok() && stream.set_write_timeout(None).is_ok()
 }
 
 /// Reads the next request frame under the connection's budgets —
@@ -780,14 +749,11 @@ impl JobCache {
     }
 }
 
-/// One connection = one execution slot: negotiating handshake (plus
-/// PSK auth and budget enforcement when configured), then a
-/// sequential request/response loop.
-///
-/// v1 conversations use the inline `RunRange` path with the
-/// memcmp-keyed single-job cache; v2 conversations additionally get
-/// the job registry (`LoadJob` / `RunRangeById` against the bounded
-/// [`JobCache`]), with the typed `JobNotLoaded` miss on eviction.
+/// One connection = one execution slot: handshake (plus PSK auth and
+/// budget enforcement when configured), then a sequential
+/// request/response loop over the job registry (`LoadJob` /
+/// `RunRangeById` against the bounded [`JobCache`]), with the typed
+/// `JobNotLoaded` miss on eviction.
 ///
 /// `shutdown` is the daemon's drain flag: once it flips, the
 /// connection finishes the request it is executing (if any), writes
@@ -800,18 +766,13 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
         name: &config.name,
         capacity: config.capacity as u32,
         psk: config.psk.as_ref(),
-        protocol_cap: config.protocol_cap,
         max_frame_len: config.max_frame_len,
     };
-    let Some(negotiated) = accept_handshake_deadlined(&mut stream, &policy) else {
+    if !accept_handshake_deadlined(&mut stream, &policy) {
         return;
-    };
+    }
 
-    // The v1 inline cache: the last job's encoded bytes, the decoded
-    // job and its loaded machine. Comparing raw bytes (memcmp)
-    // decides reuse — exact, and cheaper than decoding every request.
-    let mut inline: Option<(Vec<u8>, Job, QuMa)> = None;
-    // The v2 registry: jobs loaded by id, LRU-bounded.
+    // The job registry: jobs loaded by id, LRU-bounded.
     let mut registry = JobCache::new(config.job_cache_capacity);
     let mut limiter = config.max_requests_per_sec.map(RateLimiter::new);
 
@@ -833,59 +794,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                     return;
                 }
             }
-            wire::tag::RUN_RANGE => {
-                let request = match RunRange::decode(&payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        send_error(
-                            &mut stream,
-                            ErrorKind::Malformed,
-                            format!("bad request: {e}"),
-                        );
-                        return;
-                    }
-                };
-                if request.start > request.end {
-                    send_error(
-                        &mut stream,
-                        ErrorKind::Malformed,
-                        format!("inverted range {}..{}", request.start, request.end),
-                    );
-                    return;
-                }
-                if !matches!(&inline, Some((bytes, _, _)) if *bytes == request.job_bytes) {
-                    let job = match wire::decode_job(&request.job_bytes) {
-                        Ok(job) => job,
-                        Err(e) => {
-                            send_error(&mut stream, ErrorKind::Malformed, format!("bad job: {e}"));
-                            return;
-                        }
-                    };
-                    match build_machine(&job) {
-                        Ok(machine) => inline = Some((request.job_bytes.clone(), job, machine)),
-                        Err(e) => {
-                            // Load failures are *job* failures, not
-                            // connection failures: report and keep
-                            // serving (the coordinator may send other
-                            // jobs on this slot).
-                            send_error(
-                                &mut stream,
-                                ErrorKind::Load,
-                                format!("job `{}` failed to load: {e}", job.name),
-                            );
-                            continue;
-                        }
-                    }
-                }
-                let (_, job, machine) = inline.as_mut().expect("just cached");
-                let out = run_batch(machine, job, request.start..request.end);
-                if wire::write_frame(&mut stream, wire::tag::BATCH, &wire::encode_batch_out(&out))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            wire::tag::LOAD_JOB if negotiated >= 2 => {
+            wire::tag::LOAD_JOB => {
                 let request = match LoadJob::decode(&payload) {
                     Ok(r) => r,
                     Err(e) => {
@@ -927,7 +836,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                     }
                 }
             }
-            wire::tag::RUN_RANGE_BY_ID if negotiated >= 2 => {
+            wire::tag::RUN_RANGE_BY_ID => {
                 let request = match RunRangeById::decode(&payload) {
                     Ok(r) => r,
                     Err(e) => {
@@ -973,7 +882,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                 send_error(
                     &mut stream,
                     ErrorKind::Malformed,
-                    format!("unexpected frame tag {other:#04x} (negotiated v{negotiated})"),
+                    format!("unexpected frame tag {other:#04x}"),
                 );
                 return;
             }
@@ -1011,11 +920,9 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
 pub struct RemoteBackend {
     addr: String,
     name: String,
-    /// The negotiated protocol version on the current connection.
-    protocol: u16,
     capacity: u32,
     stream: Option<TcpStream>,
-    /// Deadline, key and version cap used for every (re)connection.
+    /// Deadline and key used for every (re)connection.
     options: ConnectOptions,
     /// Client-side encode cache (bounded, MRU first): jobs already
     /// encoded, each with its connection-scoped job id — so
@@ -1047,16 +954,16 @@ const ENCODE_CACHE_CAPACITY: usize = 8;
 const FRAME_OVERHEAD: u64 = 5;
 
 /// Cumulative request-side wire accounting for one [`RemoteBackend`]
-/// — what the v2 job registry is buying, in bytes. Responses are not
-/// counted (identical across versions).
+/// — what the job registry is buying, in bytes. Responses are not
+/// counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireTraffic {
-    /// Range requests sent (v1 `RunRange` or v2 `RunRangeById`),
-    /// including the retry after a `JobNotLoaded` miss.
+    /// `RunRangeById` requests sent, including the retry after a
+    /// `JobNotLoaded` miss.
     pub range_requests: u64,
     /// Total bytes of those range requests, frame headers included.
     pub range_request_bytes: u64,
-    /// v2 `LoadJob` requests sent.
+    /// `LoadJob` requests sent.
     pub load_requests: u64,
     /// Total bytes of those load requests, frame headers included.
     pub load_request_bytes: u64,
@@ -1076,21 +983,20 @@ impl std::fmt::Debug for RemoteBackend {
         f.debug_struct("RemoteBackend")
             .field("addr", &self.addr)
             .field("name", &self.name)
-            .field("protocol", &self.protocol)
             .field("connected", &self.stream.is_some())
             .finish()
     }
 }
 
 impl RemoteBackend {
-    /// Connects to a worker and performs the negotiating handshake,
-    /// with the [`DEFAULT_IO_TIMEOUT`] request deadline.
+    /// Connects to a worker and performs the handshake, with the
+    /// [`DEFAULT_IO_TIMEOUT`] request deadline.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Transport`] when the worker is unreachable,
-    /// does not speak the protocol (bad magic), or no common version
-    /// exists; [`RuntimeError::Auth`] when PSK authentication fails.
+    /// does not speak the protocol (bad magic), or speaks another
+    /// version; [`RuntimeError::Auth`] when PSK authentication fails.
     pub fn connect(addr: impl Into<String>) -> Result<Self, RuntimeError> {
         RemoteBackend::connect_opts(addr, ConnectOptions::default())
     }
@@ -1106,7 +1012,7 @@ impl RemoteBackend {
     }
 
     /// [`RemoteBackend::connect`] with full [`ConnectOptions`]
-    /// (deadline, pre-shared key, protocol cap).
+    /// (deadline, pre-shared key).
     pub fn connect_opts(
         addr: impl Into<String>,
         options: ConnectOptions,
@@ -1122,7 +1028,6 @@ impl RemoteBackend {
         Ok(RemoteBackend {
             addr,
             name: ack.name,
-            protocol: ack.version,
             capacity: ack.capacity.max(1),
             stream: Some(stream),
             options,
@@ -1201,13 +1106,6 @@ impl RemoteBackend {
     /// The worker's self-reported name.
     pub fn worker_name(&self) -> &str {
         &self.name
-    }
-
-    /// The protocol version negotiated on the current connection —
-    /// `2` when the job registry is in use, `1` when the worker only
-    /// speaks inline ranges.
-    pub fn protocol(&self) -> u16 {
-        self.protocol
     }
 
     /// Request-side wire accounting since connect — how many bytes
@@ -1309,32 +1207,10 @@ impl RemoteBackend {
         }
     }
 
-    /// The v1 exchange: one inline `RunRange` request.
-    fn exchange_v1(&mut self, id: u64, range: &Range<u64>) -> Result<BatchOut, Exchange> {
-        // Encode the frame payload borrowing the cached job bytes —
-        // for large programs those bytes dominate the request, and
-        // cloning them per batch would double the per-range memory
-        // traffic.
-        let payload = {
-            let entry = self
-                .encoded
-                .iter()
-                .find(|e| e.id == id)
-                .expect("job encoded before exchange");
-            RunRange::encode_parts(range.start, range.end, &entry.bytes)
-        };
-        self.traffic.range_requests += 1;
-        self.traffic.range_request_bytes += payload.len() as u64 + FRAME_OVERHEAD;
-        let (tag, resp) = self.send_request(wire::tag::RUN_RANGE, &payload)?;
-        RemoteBackend::classify_batch(tag, &resp)
-    }
-
     /// Sends `LoadJob` for the cached job `id` and records it loaded.
-    /// On connections that negotiated v3 or later, large programs ship
-    /// compressed (see [`wire::COMPRESSED_JOB_ID_FLAG`]) and the
-    /// worker decompresses transparently in `LoadJob::decode`; older
-    /// workers do not know the flag bit, so they always get the plain
-    /// encoding.
+    /// Programs ship compressed when that shrinks them (see
+    /// [`wire::COMPRESSED_JOB_ID_FLAG`]); the worker decompresses
+    /// transparently in `LoadJob::decode`.
     fn load_job(&mut self, id: u64) -> Result<(), Exchange> {
         let payload = {
             let entry = self
@@ -1342,11 +1218,7 @@ impl RemoteBackend {
                 .iter()
                 .find(|e| e.id == id)
                 .expect("job encoded before load");
-            if self.protocol >= 3 {
-                LoadJob::encode_parts_auto(id, &entry.bytes)
-            } else {
-                LoadJob::encode_parts(id, &entry.bytes)
-            }
+            LoadJob::encode_parts_auto(id, &entry.bytes)
         };
         self.traffic.load_requests += 1;
         self.traffic.load_request_bytes += payload.len() as u64 + FRAME_OVERHEAD;
@@ -1380,9 +1252,9 @@ impl RemoteBackend {
         }
     }
 
-    /// The v2 exchange: ensure the job is registered, run the range
-    /// by id, and transparently re-load on an eviction miss.
-    fn exchange_v2(&mut self, id: u64, range: &Range<u64>) -> Result<BatchOut, Exchange> {
+    /// One range exchange: ensure the job is registered, run the
+    /// range by id, and transparently re-load on an eviction miss.
+    fn exchange(&mut self, id: u64, range: &Range<u64>) -> Result<BatchOut, Exchange> {
         if !self.loaded.contains(&id) {
             self.load_job(id)?;
         }
@@ -1429,7 +1301,7 @@ enum Exchange {
     /// The worker rejected the *job* (validation failure): fail the
     /// job, do not retry anywhere.
     Load(String),
-    /// (v2) The worker does not hold the named job — re-load and
+    /// The worker does not hold the named job — re-load and
     /// retry on this same connection.
     NotLoaded,
 }
@@ -1464,48 +1336,20 @@ fn open_stream(addr: &str, io_timeout: Option<Duration>) -> Result<TcpStream, Wi
     Ok(stream)
 }
 
-/// Connects and performs the client side of the negotiating
-/// handshake (version negotiation, optional PSK challenge–response).
+/// Connects and performs the client side of the handshake (the exact
+/// version match, optional PSK challenge–response).
 /// `opts.io_timeout` becomes the stream's read/write deadline —
 /// covering the handshake itself (a server that accepts the TCP
 /// connection and then goes silent must not hang the caller) and
 /// every later request on the returned stream.
-///
-/// A v1-era server predates negotiation: it rejects an unfamiliar
-/// offer with a typed `Version` error naming the version it does
-/// speak. When that version is still supported, the handshake
-/// reconnects and re-offers it — so a v2 coordinator falls back to v1
-/// workers transparently.
 pub(crate) fn handshake(
     addr: &str,
     opts: &ConnectOptions,
 ) -> Result<(TcpStream, HelloAck), WireError> {
-    let mut offer = opts
-        .protocol_cap
-        .clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-    loop {
-        match handshake_offer(addr, opts, offer) {
-            Err(WireError::VersionMismatch { theirs, .. })
-                if theirs < offer && theirs >= MIN_PROTOCOL_VERSION =>
-            {
-                // Legacy fallback: re-offer exactly what the server
-                // speaks, on a fresh connection (the server closed
-                // this one after its rejection).
-                offer = theirs;
-            }
-            outcome => return outcome,
-        }
-    }
-}
-
-/// One handshake attempt at a fixed offered version.
-fn handshake_offer(
-    addr: &str,
-    opts: &ConnectOptions,
-    offer: u16,
-) -> Result<(TcpStream, HelloAck), WireError> {
     let mut stream = open_stream(addr, opts.io_timeout)?;
-    let hello = Hello { version: offer };
+    let hello = Hello {
+        version: PROTOCOL_VERSION,
+    };
     wire::write_frame(&mut stream, wire::tag::HELLO, &hello.encode())?;
     let (mut tag, mut payload) = wire::read_frame(&mut stream)?;
     let mut authed = false;
@@ -1561,9 +1405,9 @@ fn handshake_offer(
                 // an unauthenticated conversation — a misconfigured
                 // (keyless) server is an error the operator wants to
                 // see. Checked only on a *successful* ack: a typed
-                // ERROR (e.g. a legacy server's Version rejection)
-                // must reach its own classification below, not be
-                // masked as an auth problem.
+                // ERROR (e.g. a Version rejection) must reach its own
+                // classification below, not be masked as an auth
+                // problem.
                 return Err(WireError::AuthFailed {
                     message: format!(
                         "a pre-shared key is configured but server {addr} did not request \
@@ -1572,9 +1416,9 @@ fn handshake_offer(
                 });
             }
             let ack = HelloAck::decode(&payload)?;
-            if ack.version < MIN_PROTOCOL_VERSION || ack.version > offer {
+            if ack.version != PROTOCOL_VERSION {
                 return Err(WireError::VersionMismatch {
-                    ours: offer,
+                    ours: PROTOCOL_VERSION,
                     theirs: ack.version,
                 });
             }
@@ -1584,7 +1428,7 @@ fn handshake_offer(
             let msg = ErrorMsg::decode(&payload)?;
             match msg.kind {
                 ErrorKind::Version => Err(WireError::VersionMismatch {
-                    ours: offer,
+                    ours: PROTOCOL_VERSION,
                     theirs: msg.version,
                 }),
                 ErrorKind::AuthFailed => Err(WireError::AuthFailed {
@@ -1606,7 +1450,6 @@ impl ExecBackend for RemoteBackend {
             name: self.name.clone(),
             kind: BackendKind::Remote {
                 addr: self.addr.clone(),
-                protocol: self.protocol,
             },
             slots: 1,
         }
@@ -1619,12 +1462,7 @@ impl ExecBackend for RemoteBackend {
         // batches (or an idle connection a middlebox dropped) should
         // not count as a backend failure.
         for attempt in 0..2 {
-            let outcome = if self.protocol >= 2 {
-                self.exchange_v2(id, &range)
-            } else {
-                self.exchange_v1(id, &range)
-            };
-            match outcome {
+            match self.exchange(id, &range) {
                 Ok(out) => return Ok(out),
                 Err(Exchange::Load(message)) => {
                     return Err(RuntimeError::Service(format!(
@@ -1638,7 +1476,7 @@ impl ExecBackend for RemoteBackend {
                     return Err(self.transport_err(message));
                 }
                 Err(Exchange::NotLoaded) => {
-                    // exchange_v2 already converts a post-reload miss
+                    // exchange already converts a post-reload miss
                     // to Fatal; a stray NotLoaded is a protocol bug.
                     self.stream = None;
                     self.loaded.clear();
@@ -1653,10 +1491,6 @@ impl ExecBackend for RemoteBackend {
                         match handshake(&self.addr, &self.options) {
                             Ok((stream, ack)) => {
                                 self.name = ack.name;
-                                // The restarted worker may negotiate a
-                                // different version (e.g. upgraded or
-                                // rolled back mid-fleet).
-                                self.protocol = ack.version;
                                 self.stream = Some(stream);
                             }
                             Err(e) => return Err(self.transport_err(e)),
@@ -1703,7 +1537,7 @@ pub fn ping_opts(addr: &str, options: &ConnectOptions) -> Result<HelloAck, WireE
 }
 
 // ---------------------------------------------------------------------
-// Serve front door: the JobQueue over the wire (v2)
+// Serve front door: the JobQueue over the wire
 // ---------------------------------------------------------------------
 
 /// Configuration of the serve acceptor — the network front door that
@@ -2235,37 +2069,51 @@ mod tests {
         assert_eq!(out.shots(), 4);
     }
 
-    #[test]
-    fn version_mismatch_is_typed() {
-        // Below the supported floor there is no common version to
-        // negotiate down to: the rejection must be typed.
-        let worker = spawn_local_worker(1);
-        let mut stream = TcpStream::connect(worker.addr()).expect("connects");
-        let bad_hello = Hello {
-            version: MIN_PROTOCOL_VERSION - 1,
-        };
-        wire::write_frame(&mut stream, wire::tag::HELLO, &bad_hello.encode()).unwrap();
-        let (tag, payload) = wire::read_frame(&mut stream).expect("gets answer");
-        assert_eq!(tag, wire::tag::ERROR);
-        let msg = ErrorMsg::decode(&payload).expect("typed error");
-        assert_eq!(msg.kind, ErrorKind::Version);
-        assert_eq!(msg.version, PROTOCOL_VERSION);
+    /// One version, exact match: an older or newer offer to the server
+    /// at `addr` gets a typed rejection naming both sides, never a
+    /// HELLO_ACK. Shared by the worker and serve reactor tests.
+    pub(super) fn assert_other_versions_rejected(addr: SocketAddr) {
+        for offered in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let mut stream = TcpStream::connect(addr).expect("connects");
+            let hello = Hello { version: offered };
+            wire::write_frame(&mut stream, wire::tag::HELLO, &hello.encode()).unwrap();
+            let (tag, payload) = wire::read_frame(&mut stream).expect("gets answer");
+            assert_eq!(tag, wire::tag::ERROR, "offer v{offered}");
+            let msg = ErrorMsg::decode(&payload).expect("typed error");
+            assert_eq!(msg.kind, ErrorKind::Version);
+            assert_eq!(msg.version, PROTOCOL_VERSION);
+            assert!(
+                msg.message.contains(&format!("v{PROTOCOL_VERSION}"))
+                    && msg.message.contains(&format!("v{offered}")),
+                "{}",
+                msg.message
+            );
+        }
     }
 
     #[test]
-    fn higher_offer_negotiates_down_to_ours() {
-        // A future client offering more than we speak settles on our
-        // version rather than being rejected.
+    fn version_mismatch_is_typed() {
+        let worker = spawn_local_worker(1);
+        assert_other_versions_rejected(worker.addr());
+    }
+
+    #[test]
+    fn retired_run_range_tag_is_malformed() {
+        // Tag 0x03 carried the inline-job range request; it is retired
+        // and a worker must answer it with a typed Malformed error.
         let worker = spawn_local_worker(1);
         let mut stream = TcpStream::connect(worker.addr()).expect("connects");
         let hello = Hello {
-            version: PROTOCOL_VERSION + 1,
+            version: PROTOCOL_VERSION,
         };
         wire::write_frame(&mut stream, wire::tag::HELLO, &hello.encode()).unwrap();
-        let (tag, payload) = wire::read_frame(&mut stream).expect("gets answer");
+        let (tag, _) = wire::read_frame(&mut stream).expect("ack");
         assert_eq!(tag, wire::tag::HELLO_ACK);
-        let ack = HelloAck::decode(&payload).expect("ack decodes");
-        assert_eq!(ack.version, PROTOCOL_VERSION);
+        wire::write_frame(&mut stream, 0x03, &[0u8; 24]).unwrap();
+        let (tag, payload) = wire::read_frame(&mut stream).expect("gets answer");
+        assert_eq!(tag, wire::tag::ERROR);
+        let msg = ErrorMsg::decode(&payload).expect("typed error");
+        assert_eq!(msg.kind, ErrorKind::Malformed);
     }
 
     #[test]

@@ -46,10 +46,12 @@ use crate::error::RuntimeError;
 use crate::serve::{JobHandle, JobQueue};
 use crate::wire::{
     self, AuthChallenge, AuthOk, AuthResponse, ErrorKind, ErrorMsg, FrameReader, FrameWriter,
-    Hello, HelloAck, RemoteJobInfo, SubmitAck, WireError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    Hello, HelloAck, RemoteJobInfo, SubmitAck, WireError, PROTOCOL_VERSION,
 };
 
-use super::{JobDirectory, RateLimiter, ServeNetConfig, DRAIN_TIMEOUT, HANDSHAKE_TIMEOUT};
+use super::{
+    version_rejection, JobDirectory, RateLimiter, ServeNetConfig, DRAIN_TIMEOUT, HANDSHAKE_TIMEOUT,
+};
 
 // ---------------------------------------------------------------------
 // Raw FFI: epoll, poll, pipes
@@ -460,18 +462,14 @@ enum ConnState {
     /// Waiting for the client's `HELLO`.
     AwaitHello,
     /// Challenge sent; waiting for the PSK proof.
-    AwaitAuth {
-        negotiated: u16,
-        server_nonce: [u8; 32],
-    },
+    AwaitAuth { server_nonce: [u8; 32] },
     /// Authed (as configured) and serving sequential requests.
-    Serving { negotiated: u16 },
+    Serving,
     /// Streaming one job's snapshots. The socket's read interest is
     /// dropped — exactly like the threaded streamer, which simply
     /// never read mid-subscription, so a client pipelining requests
     /// behind a subscribe backpressures in its socket buffer.
     Subscribed {
-        negotiated: u16,
         job_id: u64,
         /// Highest `batches_done` already sent (or the client's resume
         /// point) — the strictly-monotonic send filter that makes
@@ -826,15 +824,11 @@ impl ServeReactor {
         };
         match &conn.state {
             ConnState::AwaitHello => self.on_hello(token, frame_tag, &payload),
-            ConnState::AwaitAuth {
-                negotiated,
-                server_nonce,
-            } => {
-                let (negotiated, server_nonce) = (*negotiated, *server_nonce);
-                self.on_auth_response(token, frame_tag, &payload, negotiated, &server_nonce)
+            ConnState::AwaitAuth { server_nonce } => {
+                let server_nonce = *server_nonce;
+                self.on_auth_response(token, frame_tag, &payload, &server_nonce)
             }
-            ConnState::Serving { negotiated } => {
-                let negotiated = *negotiated;
+            ConnState::Serving => {
                 // The request-rate budget, as in the threaded
                 // acceptor's read_request_frame.
                 if let Some(limiter) = conn.limiter.as_mut() {
@@ -849,7 +843,7 @@ impl ServeReactor {
                         return false;
                     }
                 }
-                self.on_request(token, frame_tag, &payload, negotiated)
+                self.on_request(token, frame_tag, &payload)
             }
             ConnState::Subscribed { .. } | ConnState::Closing => false,
         }
@@ -871,17 +865,10 @@ impl ServeReactor {
                 return false;
             }
         };
-        let Some(negotiated) = wire::negotiate(hello.version, PROTOCOL_VERSION) else {
-            self.send_goodbye(
-                token,
-                ErrorKind::Version,
-                format!(
-                    "server speaks v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}, client offered v{}",
-                    hello.version
-                ),
-            );
+        if hello.version != PROTOCOL_VERSION {
+            self.send_goodbye(token, ErrorKind::Version, version_rejection(hello.version));
             return false;
-        };
+        }
         if self.config.psk.is_some() {
             let server_nonce = fresh_nonce();
             let challenge = AuthChallenge {
@@ -896,16 +883,13 @@ impl ServeReactor {
                 return false;
             }
             if let Some(conn) = self.conns.get_mut(&token) {
-                conn.state = ConnState::AwaitAuth {
-                    negotiated,
-                    server_nonce,
-                };
+                conn.state = ConnState::AwaitAuth { server_nonce };
                 // The handshake deadline spans auth too.
                 return true;
             }
             return false;
         }
-        self.finish_handshake(token, negotiated)
+        self.finish_handshake(token)
     }
 
     fn on_auth_response(
@@ -913,7 +897,6 @@ impl ServeReactor {
         token: u64,
         frame_tag: u8,
         payload: &[u8],
-        negotiated: u16,
         server_nonce: &[u8; 32],
     ) -> bool {
         let Some(psk) = self.config.psk.clone() else {
@@ -961,12 +944,12 @@ impl ServeReactor {
         if !self.enqueue_frame(token, Arc::new(frame)) {
             return false;
         }
-        self.finish_handshake(token, negotiated)
+        self.finish_handshake(token)
     }
 
-    fn finish_handshake(&mut self, token: u64, negotiated: u16) -> bool {
+    fn finish_handshake(&mut self, token: u64) -> bool {
         let ack = HelloAck {
-            version: negotiated,
+            version: PROTOCOL_VERSION,
             capacity: self.queue.workers() as u32,
             name: self.config.name.clone(),
         };
@@ -978,7 +961,7 @@ impl ServeReactor {
             return false;
         }
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.state = ConnState::Serving { negotiated };
+            conn.state = ConnState::Serving;
             conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
             true
         } else {
@@ -986,23 +969,21 @@ impl ServeReactor {
         }
     }
 
-    fn on_request(&mut self, token: u64, frame_tag: u8, payload: &[u8], negotiated: u16) -> bool {
+    fn on_request(&mut self, token: u64, frame_tag: u8, payload: &[u8]) -> bool {
         // Any complete request resets the idle clock.
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
         }
         match frame_tag {
             wire::tag::PING => self.send_frame(token, wire::tag::PONG, &[]),
-            wire::tag::SUBMIT if negotiated >= 2 => self.on_submit(token, payload),
-            wire::tag::POLL if negotiated >= 2 => self.on_poll(token, payload),
-            wire::tag::SUBSCRIBE if negotiated >= 2 => {
-                self.on_subscribe(token, payload, negotiated)
-            }
+            wire::tag::SUBMIT => self.on_submit(token, payload),
+            wire::tag::POLL => self.on_poll(token, payload),
+            wire::tag::SUBSCRIBE => self.on_subscribe(token, payload),
             other => {
                 self.send_goodbye(
                     token,
                     ErrorKind::Malformed,
-                    format!("unexpected frame tag {other:#04x} (negotiated v{negotiated})"),
+                    format!("unexpected frame tag {other:#04x}"),
                 );
                 false
             }
@@ -1061,7 +1042,7 @@ impl ServeReactor {
         self.send_frame(token, wire::tag::SNAPSHOT, &snapshot)
     }
 
-    fn on_subscribe(&mut self, token: u64, payload: &[u8], negotiated: u16) -> bool {
+    fn on_subscribe(&mut self, token: u64, payload: &[u8]) -> bool {
         let sub = match wire::decode_subscribe(payload) {
             Ok(sub) => sub,
             Err(e) => {
@@ -1069,16 +1050,6 @@ impl ServeReactor {
                 return false;
             }
         };
-        if sub.resume_after.is_some() && negotiated < 4 {
-            // Like compressed LoadJob ids: a capability the negotiated
-            // version must license, never sniffed from payload shape.
-            self.send_goodbye(
-                token,
-                ErrorKind::Version,
-                format!("subscription resume requires v4 (negotiated v{negotiated})"),
-            );
-            return false;
-        }
         let Some(handle) = self.directory.get(sub.job_id) else {
             return self.send_soft_error(
                 token,
@@ -1097,7 +1068,6 @@ impl ServeReactor {
             return false;
         };
         conn.state = ConnState::Subscribed {
-            negotiated,
             job_id: sub.job_id,
             last_sent_batches: sub.resume_after,
             last_sent: Instant::now(),
@@ -1285,7 +1255,6 @@ impl ServeReactor {
                 continue;
             };
             let ConnState::Subscribed {
-                negotiated,
                 last_sent_batches,
                 last_sent,
                 ..
@@ -1293,7 +1262,6 @@ impl ServeReactor {
             else {
                 continue;
             };
-            let negotiated = *negotiated;
             let fresh = last_sent_batches.is_none_or(|sent| batches > sent);
             let keepalive = now.duration_since(*last_sent) >= self.config.keepalive;
             if fresh || snapshot_done || keepalive {
@@ -1311,13 +1279,13 @@ impl ServeReactor {
                             if !self.enqueue_frame(token, Arc::clone(result_frame)) {
                                 continue;
                             }
-                            self.finish_subscription(token, job_id, negotiated);
+                            self.finish_subscription(token, job_id);
                         }
                         Err((kind, message)) => {
                             // Mirror the threaded streamer: report the
                             // job failure, keep the connection.
                             if self.send_soft_error(token, *kind, message.clone()) {
-                                self.finish_subscription(token, job_id, negotiated);
+                                self.finish_subscription(token, job_id);
                             }
                         }
                     }
@@ -1335,13 +1303,13 @@ impl ServeReactor {
 
     /// Ends one connection's subscription (stream completed): back to
     /// the request loop, unpinned, re-armed for reads.
-    fn finish_subscription(&mut self, token: u64, job_id: u64, negotiated: u16) {
+    fn finish_subscription(&mut self, token: u64, job_id: u64) {
         if let Some(entry) = self.subs.get_mut(&job_id) {
             entry.tokens.retain(|t| *t != token);
         }
         self.directory.unpin(job_id);
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.state = ConnState::Serving { negotiated };
+            conn.state = ConnState::Serving;
             conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
         }
         self.update_interest(token);
@@ -1611,6 +1579,12 @@ mod tests {
         let ack = super::super::ping(&fixture.addr.to_string()).expect("reactor serves pings");
         assert_eq!(ack.version, PROTOCOL_VERSION);
         drop(silent);
+    }
+
+    #[test]
+    fn version_mismatch_is_typed() {
+        let fixture = reactor_fixture(ServeNetConfig::default());
+        crate::net::tests::assert_other_versions_rejected(fixture.addr);
     }
 
     #[test]

@@ -86,7 +86,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use eqasm_core::{Instantiation, Instruction};
@@ -1622,6 +1622,11 @@ impl JobHandle {
             if !state.jobs[self.job].done() {
                 return false;
             }
+            if self.shared.journaled && state.journal.is_none() {
+                // The journal closed at queue shutdown: no flush can
+                // confirm the Complete record any more, so keep it.
+                return false;
+            }
             state.journal.clone()
         };
         if let Some(journal) = journal {
@@ -1729,6 +1734,10 @@ pub struct JobQueue {
     /// The warmer and (journal mode) journal threads, joined at
     /// shutdown after the workers.
     aux_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Whether the journal's final flush was confirmed durable —
+    /// recorded once, by the first [`JobQueue::shutdown`]; unset for
+    /// an unjournaled queue.
+    journal_durable: OnceLock<bool>,
 }
 
 impl JobQueue {
@@ -1786,6 +1795,7 @@ impl JobQueue {
             workers: Mutex::new(Vec::new()),
             warm_tx: Mutex::new(None),
             aux_threads: Mutex::new(Vec::new()),
+            journal_durable: OnceLock::new(),
         };
         // The prefix warmer: admission (and recovery) send each job's
         // Arc here, and the snapshot is computed before the first
@@ -2231,14 +2241,21 @@ impl JobQueue {
         }
         // Workers are gone, so nothing appends anymore: drop the
         // warmer's sender (its thread drains and exits), flush and
-        // stop the journal thread, then join both.
+        // stop the journal thread, then join both. Taking the handle
+        // makes the first call's outcome final: a later call (`Drop`
+        // after an explicit shutdown) finds no journal to signal.
         *self.warm_tx.lock().expect("warmer channel poisoned") = None;
-        let journal = {
-            let state = self.shared.state.lock().expect("queue state poisoned");
-            state.journal.clone()
-        };
+        let journal = self
+            .shared
+            .state
+            .lock()
+            .expect("queue state poisoned")
+            .journal
+            .take();
         if let Some(journal) = journal {
-            if !journal.shutdown() {
+            let durable = journal.shutdown();
+            let _ = self.journal_durable.set(durable);
+            if !durable {
                 eprintln!("eqasm journal: final flush at shutdown not confirmed durable");
             }
         }
@@ -2382,6 +2399,65 @@ mod tests {
             .build()
             .expect("builds");
         Job::new(name, inst, program).with_shots(shots)
+    }
+
+    /// A fresh, empty journal directory for one test.
+    fn journal_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("eqasm-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Runs one small job to completion on `queue`.
+    fn run_one(queue: &JobQueue) {
+        let handle = queue
+            .submit(Submission::job("tenant", tiny_job("journaled", 16)))
+            .expect("submits")
+            .remove(0);
+        handle.wait().expect("completes");
+    }
+
+    #[test]
+    fn shutdown_then_drop_keeps_the_first_journal_outcome() {
+        let dir = journal_dir("shutdown-twice");
+        let (queue, _) = JobQueue::recover(
+            ServeConfig::default().with_batch_size(8),
+            vec![Box::new(LocalBackend::new(0))],
+            &JournalConfig::new(&dir),
+        )
+        .expect("opens the journal");
+        run_one(&queue);
+        queue.shutdown();
+        assert_eq!(queue.journal_durable.get(), Some(&true));
+        assert!(
+            queue.shared.state.lock().unwrap().journal.is_none(),
+            "the first shutdown takes the journal handle"
+        );
+        // What `Drop` does after an explicit shutdown: no journal left
+        // to signal, and the recorded outcome stands.
+        queue.shutdown();
+        assert_eq!(queue.journal_durable.get(), Some(&true));
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_journal_append_reports_non_durable_shutdown() {
+        let dir = journal_dir("unwritable");
+        let journal = journal::spawn_unwritable(&JournalConfig::new(&dir));
+        let queue = JobQueue::build(
+            ServeConfig::default().with_batch_size(8),
+            vec![Box::new(LocalBackend::new(0))],
+            Some((journal.handle, u64::MAX)),
+            Some(journal.thread),
+        );
+        run_one(&queue);
+        queue.shutdown();
+        assert_eq!(queue.journal_durable.get(), Some(&false));
+        queue.shutdown();
+        assert_eq!(queue.journal_durable.get(), Some(&false));
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Registers `n` placeholder local slots, as `with_backends` would

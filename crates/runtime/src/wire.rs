@@ -31,28 +31,20 @@
 //! ## Framing and versioning
 //!
 //! Every message on a connection is a *frame*: a `u32` length, a `u8`
-//! message tag, then the payload. Connections open with a handshake —
-//! the client sends [`Hello`] carrying the **highest** version it
-//! speaks, the server answers [`HelloAck`] carrying the **negotiated**
-//! version (`min(client, server)`, never below
-//! [`MIN_PROTOCOL_VERSION`]) — so version skew is detected, and
-//! resolved, before any job bytes are interpreted. A v2 coordinator
-//! talking to a v1-era worker (which predates negotiation and rejects
-//! any unfamiliar version with a typed error) falls back to offering
-//! v1 outright, so old workers keep serving. All decode failures
-//! surface as [`WireError`], never as panics: a malformed or truncated
-//! frame from the network must not take down a coordinator or a
-//! worker.
+//! message tag, then the payload. There is one protocol version,
+//! [`PROTOCOL_VERSION`], and the handshake is an exact match: the
+//! client sends [`Hello`] carrying it, the server answers [`HelloAck`]
+//! carrying the same version or a typed [`ErrorKind::Version`]
+//! rejection naming its own — so version skew is detected before any
+//! job bytes are interpreted. All decode failures surface as
+//! [`WireError`], never as panics: a malformed or truncated frame from
+//! the network must not take down a coordinator or a worker.
 //!
-//! ## v2: the job registry
+//! ## The job registry
 //!
-//! v1 ships the full encoded job inside every `RunRange` request —
-//! workers memcmp-cache the bytes so repeat ranges skip the decode,
-//! but a million-shot sweep of a large program still pays the job
-//! bytes per range. v2 splits the two concerns: [`LoadJob`] ships the
-//! bytes once under a caller-chosen `job_id`, [`RunRangeById`] then
-//! names the job by id (24-byte payload, independent of program
-//! size). The worker keeps a **capacity-bounded LRU** of loaded jobs
+//! [`LoadJob`] ships a job's bytes once under a caller-chosen
+//! `job_id`, [`RunRangeById`] then names the job by id (24-byte
+//! payload, independent of program size). The worker keeps a **capacity-bounded LRU** of loaded jobs
 //! per connection; a range naming an evicted (or never-loaded) id gets
 //! the typed [`ErrorKind::JobNotLoaded`] miss, which the client
 //! answers by transparently re-sending [`LoadJob`] and retrying —
@@ -85,52 +77,15 @@ use crate::workload::{WorkloadKind, WorkloadSpec};
 /// incompatible *version* of it).
 pub const MAGIC: [u8; 4] = *b"EQWP";
 
-/// The highest protocol version this build speaks. Bumped on any
-/// change to the frame layout or the encoding of any type below.
-/// Since v2 the handshake *negotiates*: the client offers its highest
-/// version, the server acks `min(offer, own)`, and both ends then
-/// speak the acked version — so newer builds interoperate with older
-/// peers in either direction.
-///
-/// v3 is a *capability* bump, not a layout change: it licenses the
-/// sender to set [`COMPRESSED_JOB_ID_FLAG`] on a `LoadJob`'s id word.
-/// The flag is self-describing only to decoders that know it — a
-/// v2-era worker would fail every flagged load with a typed error —
-/// so compression must be gated on the *negotiated* version, which is
-/// exactly what the version bump provides.
-///
-/// v4 is likewise a capability bump with no frame-layout change: it
-/// licenses the 16-byte `SUBSCRIBE` payload ([`encode_subscribe`] with
-/// a resume point), letting a client that lost its subscription
-/// reconnect and receive only snapshots *past* the prefix it already
-/// folded. A v4 server still accepts the bare 8-byte v3 payload, and a
-/// v4 client talking to a ≤ v3 server sends the 8-byte form and
-/// filters client-side.
-///
-/// v5 is a capability bump again: it adds [`WorkloadKind`] tag 5
-/// (`CliffordChain`, the large-n stabilizer workload). The tag is
-/// unknown to ≤ v4 decoders — they would fail the submission with a
-/// typed `UnknownTag` error — so clients gate `CliffordChain`
-/// submissions on the *negotiated* version and refuse locally with a
-/// clear error instead of tripping the peer's decoder.
+/// The protocol version this build speaks — the only one. Every peer
+/// is built from this workspace, so the handshake is an exact match:
+/// a `Hello` or `HelloAck` carrying any other version is rejected
+/// with a typed [`ErrorKind::Version`] error / [`WireError::VersionMismatch`]
+/// naming both sides. Bumped on any change to the frame layout or the
+/// encoding of any type below.
 pub const PROTOCOL_VERSION: u16 = 5;
 
-/// The oldest protocol version this build still speaks. Handshakes
-/// that cannot settle on a version in
-/// `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` fail with a typed
-/// [`ErrorKind::Version`] error.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// The version a server should ack for a client offering `offer`,
-/// capped at `cap` (a server may be configured to speak at most some
-/// version, e.g. for staged rollouts). `None` when no common version
-/// exists.
-pub fn negotiate(offer: u16, cap: u16) -> Option<u16> {
-    let agreed = offer.min(cap).min(PROTOCOL_VERSION);
-    (agreed >= MIN_PROTOCOL_VERSION).then_some(agreed)
-}
-
-/// Upper bound on a single frame's length. A `RunRange` frame carries
+/// Upper bound on a single frame's length. A `LoadJob` frame carries
 /// one job (program + instantiation, typically kilobytes); a `Batch`
 /// frame carries one batch's durations (8 bytes/shot). 1 GiB is far
 /// beyond any legitimate frame and stops a corrupt length prefix from
@@ -429,11 +384,7 @@ impl<'a> Reader<'a> {
 /// 63 bits — ids are small client-side counters (or queue indices), so
 /// the top bit is free to carry the flag without changing the frame
 /// layout: a compressed load is still `u64 id + u32 len + bytes`.
-/// Only v3 decoders interpret the flag, which is why senders must gate
-/// it on the *negotiated* version (see [`PROTOCOL_VERSION`]) — a pre-v3
-/// decoder fails a flagged load with a typed length error instead of
-/// silently mis-parsing. The journal's `Admit` records reuse the same
-/// convention.
+/// The journal's `Admit` records reuse the same convention.
 pub const COMPRESSED_JOB_ID_FLAG: u64 = 1 << 63;
 
 /// Byte runs at least this long become RLE run blocks; anything
@@ -1424,8 +1375,8 @@ pub mod tag {
     pub const HELLO: u8 = 1;
     /// Worker → client: magic + version + capacity + name.
     pub const HELLO_ACK: u8 = 2;
-    /// Client → worker: run a shot range of an (inlined) job.
-    pub const RUN_RANGE: u8 = 3;
+    // Tag 3 is retired (the former inline-job range request) and is
+    // never reused: a worker answers it with a typed `Malformed` error.
     /// Worker → client: the range's [`crate::BatchOut`].
     pub const BATCH: u8 = 4;
     /// Either direction: a typed failure.
@@ -1434,12 +1385,12 @@ pub mod tag {
     pub const PING: u8 = 6;
     /// Worker → client: liveness answer.
     pub const PONG: u8 = 7;
-    /// (v2) Client → worker: register a job's encoded bytes under a
+    /// Client → worker: register a job's encoded bytes under a
     /// client-chosen id in the worker's job cache.
     pub const LOAD_JOB: u8 = 8;
-    /// (v2) Worker → client: the job loaded and validated.
+    /// Worker → client: the job loaded and validated.
     pub const LOAD_ACK: u8 = 9;
-    /// (v2) Client → worker: run a shot range of a previously loaded
+    /// Client → worker: run a shot range of a previously loaded
     /// job, named by id — constant-size, however large the program.
     pub const RUN_RANGE_BY_ID: u8 = 10;
     /// Server → client: PSK challenge (sent instead of `HELLO_ACK`
@@ -1450,7 +1401,7 @@ pub mod tag {
     /// Server → client: the server's own proof (mutual auth), after
     /// which the delayed `HELLO_ACK` follows.
     pub const AUTH_OK: u8 = 13;
-    /// (v2, serve front door) Client → coordinator: a tenant-tagged
+    /// (serve front door) Client → coordinator: a tenant-tagged
     /// submission for the job queue.
     pub const SUBMIT: u8 = 16;
     /// Coordinator → client: ids of the jobs a submission expanded to.
@@ -1714,10 +1665,8 @@ impl FrameWriter {
 /// The client half of the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// The **highest** protocol version the client speaks (since v2;
-    /// v1 peers read it as "the only version the client speaks" and
-    /// reject anything unfamiliar, which the client answers by
-    /// re-offering v1).
+    /// The client's protocol version; a server accepts only its own
+    /// [`PROTOCOL_VERSION`].
     pub version: u16,
 }
 
@@ -1748,9 +1697,8 @@ impl Hello {
 /// The worker half of the handshake.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloAck {
-    /// The **negotiated** protocol version — `min` of what both ends
-    /// speak. Every later frame on the connection is interpreted
-    /// under this version.
+    /// The server's protocol version; a client accepts only its own
+    /// [`PROTOCOL_VERSION`].
     pub version: u16,
     /// How many ranges the worker is willing to run concurrently
     /// (clients typically open this many connections).
@@ -1787,52 +1735,7 @@ impl HelloAck {
     }
 }
 
-/// A request to run shots `start..end` of the inlined job.
-///
-/// The job is carried as its *encoded bytes* (not re-nested structs)
-/// so a worker can compare them against its cached program with a
-/// plain memcmp and skip the decode + machine rebuild when the same
-/// job sends many ranges — exactness without a job-registry handshake.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunRange {
-    /// First shot index of the range.
-    pub start: u64,
-    /// One past the last shot index.
-    pub end: u64,
-    /// The [`encode_job`] bytes of the job.
-    pub job_bytes: Vec<u8>,
-}
-
-impl RunRange {
-    /// Encodes the request payload.
-    pub fn encode(&self) -> Vec<u8> {
-        RunRange::encode_parts(self.start, self.end, &self.job_bytes)
-    }
-
-    /// Encodes a request payload from borrowed job bytes — the
-    /// client's hot path, which keeps one cached encoding of the job
-    /// and must not clone it per range just to build the frame.
-    pub fn encode_parts(start: u64, end: u64, job_bytes: &[u8]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.buf.reserve(8 + 8 + 4 + job_bytes.len());
-        w.put_u64(start);
-        w.put_u64(end);
-        w.put_bytes(job_bytes);
-        w.into_bytes()
-    }
-
-    /// Decodes a request payload.
-    pub fn decode(bytes: &[u8]) -> Result<RunRange, WireError> {
-        let mut r = Reader::new(bytes);
-        Ok(RunRange {
-            start: r.get_u64("RunRange.start")?,
-            end: r.get_u64("RunRange.end")?,
-            job_bytes: r.get_bytes("RunRange.job_bytes")?,
-        })
-    }
-}
-
-/// (v2) Registers a job's encoded bytes under a client-chosen id in
+/// Registers a job's encoded bytes under a client-chosen id in
 /// the worker's capacity-bounded job cache, so later
 /// [`RunRangeById`] requests can name it without re-shipping the
 /// bytes. Ids are scoped to the connection (a fresh connection starts
@@ -1867,12 +1770,8 @@ impl LoadJob {
     /// that actually shrinks them (it does for any realistic program —
     /// the fixed-width job encoding is full of zero runs). A
     /// compressed load is flagged by [`COMPRESSED_JOB_ID_FLAG`] in the
-    /// id word; the frame layout is unchanged from v2, but only v3
-    /// decoders know the flag, so callers must use this encoding only
-    /// on connections that negotiated ≥ v3 (pre-v3 peers get
-    /// [`LoadJob::encode_parts`]). Incompressible bytes ship plain
-    /// with no flag — the decoder never pays for compression that did
-    /// not help.
+    /// id word. Incompressible bytes ship plain with no flag — the
+    /// decoder never pays for compression that did not help.
     pub fn encode_parts_auto(job_id: u64, job_bytes: &[u8]) -> Vec<u8> {
         debug_assert_eq!(
             job_id & COMPRESSED_JOB_ID_FLAG,
@@ -1913,7 +1812,7 @@ impl LoadJob {
     }
 }
 
-/// (v2) Acknowledges a [`LoadJob`]: the job decoded, validated and is
+/// Acknowledges a [`LoadJob`]: the job decoded, validated and is
 /// cached under `job_id`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadAck {
@@ -1944,10 +1843,10 @@ impl LoadAck {
     }
 }
 
-/// (v2) Runs shots `start..end` of the job cached under `job_id` —
-/// the constant-size successor of [`RunRange`]. A worker that no
-/// longer holds the id answers [`ErrorKind::JobNotLoaded`], and the
-/// client re-loads transparently.
+/// Runs shots `start..end` of the job cached under `job_id` — a
+/// constant-size request, however large the program. A worker that
+/// no longer holds the id answers [`ErrorKind::JobNotLoaded`], and
+/// the client re-loads transparently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunRangeById {
     /// The id a previous [`LoadJob`] registered.
@@ -2074,7 +1973,7 @@ pub enum ErrorKind {
     Version,
     /// The peer sent bytes this version cannot interpret.
     Malformed,
-    /// (v2) A [`RunRangeById`] named a job id this worker does not
+    /// A [`RunRangeById`] named a job id this worker does not
     /// have loaded — never sent, or evicted from the job cache. The
     /// client recovers transparently: re-send [`LoadJob`], retry the
     /// range. Not a failure of the job or the connection.
@@ -2174,9 +2073,9 @@ impl fmt::Display for ErrorMsg {
     }
 }
 
-/// A canonical fingerprint of an encoded job, used by worker-side
-/// caches and diagnostics. FNV-1a over the job bytes; collisions only
-/// affect *logging*, never correctness (caches compare full bytes).
+/// A canonical fingerprint of an encoded job, for diagnostics.
+/// FNV-1a over the job bytes; collisions only affect *logging*, never
+/// correctness.
 pub fn job_fingerprint(job_bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in job_bytes {
@@ -2214,7 +2113,7 @@ pub fn result_fingerprint(res: &crate::JobResult) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Serve front door: submissions, snapshots, results (v2)
+// Serve front door: submissions, snapshots, results
 // ---------------------------------------------------------------------
 
 fn put_latency_stats(w: &mut Writer, l: &LatencyStats) {
@@ -2449,8 +2348,6 @@ fn put_workload_kind(w: &mut Writer, kind: &WorkloadKind) {
             w.put_u8(4);
             w.put_str(text);
         }
-        // Tag 5 is a v5 capability: senders gate on the negotiated
-        // version (see `PROTOCOL_VERSION`).
         WorkloadKind::CliffordChain { qubits, layers } => {
             w.put_u8(5);
             w.put_u64(*qubits as u64);
@@ -2629,8 +2526,8 @@ pub fn decode_job_id(bytes: &[u8]) -> Result<u64, WireError> {
 }
 
 /// A `SUBSCRIBE` request: which job to stream, and — when resuming a
-/// dropped subscription (v4) — the last snapshot prefix the client
-/// already folded.
+/// dropped subscription — the last snapshot prefix the client already
+/// folded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Subscribe {
     /// The coordinator-assigned job id.
@@ -2643,9 +2540,8 @@ pub struct Subscribe {
 }
 
 /// Encodes a `SUBSCRIBE` payload. Without a resume point this is the
-/// v3-identical bare 8-byte job id; with one it is the 16-byte v4 form
-/// (job id, then last-folded `batches_done`), which only a ≥ v4 server
-/// accepts — the client gates on the negotiated version.
+/// bare 8-byte job id; with one it is the 16-byte resume form (job id,
+/// then last-folded `batches_done`).
 pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(sub.job_id);
@@ -2655,8 +2551,8 @@ pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a `SUBSCRIBE` payload, accepting both the 8-byte v3 form
-/// and the 16-byte v4 resume form.
+/// Decodes a `SUBSCRIBE` payload, accepting both the 8-byte fresh
+/// form and the 16-byte resume form.
 pub fn decode_subscribe(bytes: &[u8]) -> Result<Subscribe, WireError> {
     let mut r = Reader::new(bytes);
     let job_id = r.get_u64("Subscribe.job_id")?;

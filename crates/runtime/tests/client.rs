@@ -86,7 +86,6 @@ fn remote_mix_streams_bit_identical_prefixes_and_finals() {
     let batch = 8u64;
     let (_queue, server) = serve_fixture(2, batch, ServeNetConfig::default());
     let client = Client::connect(server.addr().to_string()).expect("connects");
-    assert_eq!(client.protocol(), eqasm_runtime::wire::PROTOCOL_VERSION);
 
     // A multi-tenant mix: two prebuilt jobs under different tenants
     // plus a two-instance workload spec under a third.
@@ -248,18 +247,6 @@ fn admission_rejection_crosses_the_wire_typed() {
         .submit(Submission::job("greedy", noisy_job("fits", 16, 2)))
         .expect("submits within cap");
     assert_eq!(handles[0].wait().expect("completes").shots, 16);
-}
-
-#[test]
-fn front_door_requires_v2() {
-    let (_queue, server) = serve_fixture(1, 8, ServeNetConfig::default());
-    let err = Client::connect_opts(
-        server.addr().to_string(),
-        ConnectOptions::default().with_protocol_cap(1),
-    )
-    .expect_err("a v1 conversation cannot submit");
-    assert!(matches!(err, RuntimeError::Service(_)), "{err}");
-    assert!(err.to_string().contains("v2"), "{err}");
 }
 
 #[test]

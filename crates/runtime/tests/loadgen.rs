@@ -2,9 +2,8 @@
 //! survives a mid-scrape coordinator restart, a tiny two-rung
 //! capacity sweep against an in-process `spawn_serve` coordinator
 //! (asserting the `capacity` JSON schema), a short subscriber-churn
-//! sweep, and end-to-end coverage of the v5 `CliffordChain` workload
-//! (wire roundtrip, stabilizer selection above the dense ceiling, and
-//! the client-side version gate).
+//! sweep, and end-to-end coverage of the `CliffordChain` workload
+//! (wire roundtrip and stabilizer selection above the dense ceiling).
 //!
 //! Note on metrics: every in-process server here shares the
 //! process-global default registry, and the test harness runs tests
@@ -21,9 +20,9 @@ use eqasm_microarch::{QuMa, SimBackendKind};
 use eqasm_runtime::loadgen::{scrape_metrics, scrape_with_retry, RpsStep, StopCause};
 use eqasm_runtime::serve::{JobQueue, ServeConfig, Submission};
 use eqasm_runtime::{
-    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, ConnectOptions,
-    LoadClass, LoadSpec, ServeHandle, ServeNetConfig, ShotsDist, SweepConfig, SweepTarget,
-    WorkloadKind, WorkloadSpec,
+    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, LoadClass,
+    LoadSpec, ServeHandle, ServeNetConfig, ShotsDist, SweepConfig, SweepTarget, WorkloadKind,
+    WorkloadSpec,
 };
 
 /// A queue with `workers` local slots behind a loopback acceptor.
@@ -308,7 +307,7 @@ fn clifford_chain_submission_roundtrips_on_the_wire() {
 
 /// A 12-qubit CliffordChain — above the 10-qubit dense-simulation
 /// comfort zone — selects the stabilizer backend and executes to a
-/// full histogram through the serve front door over wire v5.
+/// full histogram through the serve front door.
 #[test]
 fn clifford_chain_runs_above_the_dense_ceiling() {
     let spec = WorkloadSpec::new(
@@ -327,13 +326,12 @@ fn clifford_chain_runs_above_the_dense_ceiling() {
     machine.load(&job.program).expect("loads");
     assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
 
-    // End to end over TCP, negotiated at v5.
+    // End to end over TCP.
     let (_queue, server) = serve_fixture(2, 16);
     let client = Client::connect(server.addr().to_string()).expect("connects");
-    assert_eq!(client.protocol(), wire::PROTOCOL_VERSION);
     let handles = client
         .submit(Submission::workload("tenant-a", spec))
-        .expect("v5 client may submit CliffordChain");
+        .expect("submits CliffordChain");
     let result = handles[0].wait().expect("completes");
     assert_eq!(result.histogram.total(), 64, "every shot must land");
 }
@@ -352,48 +350,4 @@ fn clifford_chain_rejects_out_of_envelope_parameters() {
             "error should name the offending parameter: {msg}"
         );
     }
-}
-
-/// The client-side version gate: a connection capped at v4 refuses to
-/// send a CliffordChain submission (the server would not know tag 5),
-/// while v2-encodable work still flows.
-#[test]
-fn clifford_chain_is_gated_below_wire_v5() {
-    let (_queue, server) = serve_fixture(1, 8);
-    let client = Client::connect_opts(
-        server.addr().to_string(),
-        ConnectOptions::default().with_protocol_cap(4),
-    )
-    .expect("connects at v4");
-    assert_eq!(client.protocol(), 4);
-
-    let clifford = Submission::workload(
-        "tenant-a",
-        WorkloadSpec::new(
-            "stab",
-            WorkloadKind::CliffordChain {
-                qubits: 12,
-                layers: 2,
-            },
-            32,
-        ),
-    );
-    let err = client.submit(clifford.clone()).expect_err("must be gated");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("v5") && msg.contains("v4"),
-        "gate should name both versions: {msg}"
-    );
-
-    // submit_batch refuses the whole batch before writing anything —
-    // a half-written batch would desync positional ack matching.
-    let rb = Submission::workload("tenant-a", rb_spec(16));
-    let err = client
-        .submit_batch(&[rb.clone(), clifford])
-        .expect_err("batch with gated member must fail up front");
-    assert!(err.to_string().contains("v5"));
-
-    // The connection survives the refusals: plain v2 work still runs.
-    let handles = client.submit(rb).expect("v2-encodable work flows");
-    assert_eq!(handles[0].wait().expect("completes").histogram.total(), 16);
 }

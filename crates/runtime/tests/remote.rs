@@ -705,183 +705,10 @@ fn registry_file_drives_attach_and_detach() {
 }
 
 // ---------------------------------------------------------------------
-// Wire v2: negotiation, the job registry, auth and budgets
+// The job registry, auth and budgets
 // ---------------------------------------------------------------------
 
 use eqasm_runtime::{wire, ConnectOptions, Psk};
-
-/// A worker pinned to v1 via its protocol cap: the v2 coordinator
-/// must *negotiate* down and keep getting bit-identical ranges over
-/// the inline `RunRange` path.
-#[test]
-fn v2_coordinator_negotiates_down_to_v1_worker() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let worker = spawn_worker(
-        listener,
-        WorkerConfig::default()
-            .with_name("v1-pinned")
-            .with_capacity(1)
-            .with_protocol_cap(1),
-    )
-    .expect("spawn worker");
-
-    let job = noisy_job("downgrade", 32, 77);
-    let mut remote = RemoteBackend::connect(worker.addr().to_string()).expect("connects");
-    assert_eq!(remote.protocol(), 1, "negotiated down to v1");
-    let mut local = LocalBackend::new(0);
-    for range in [0..16u64, 16..32] {
-        let r = remote.run_range(&job, range.clone()).expect("remote runs");
-        let l = local.run_range(&job, range).expect("local runs");
-        assert_eq!(r.histogram, l.histogram);
-        assert_eq!(r.stats, l.stats);
-        assert_eq!(r.prob1_sum, l.prob1_sum);
-    }
-    let traffic = remote.traffic();
-    assert_eq!(traffic.load_requests, 0, "v1 never sends LoadJob");
-    assert!(traffic.range_request_bytes > 0);
-}
-
-/// A *legacy* v1 worker predates negotiation entirely: it rejects any
-/// unfamiliar version with a typed error naming v1, then closes. This
-/// thread speaks exactly that dialect; the v2 client must fall back
-/// and still serve bit-identical ranges.
-fn spawn_legacy_v1_worker() -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        // Serve a few connections, one at a time (the fallback costs
-        // one rejected connection before the v1 one).
-        for _ in 0..8 {
-            let Ok((mut stream, _)) = listener.accept() else {
-                return;
-            };
-            let Ok((tag, payload)) = wire::read_frame(&mut stream) else {
-                continue;
-            };
-            assert_eq!(tag, wire::tag::HELLO);
-            let hello = wire::Hello::decode(&payload).expect("valid hello");
-            if hello.version != 1 {
-                // Verbatim PR 3-era behaviour: typed rejection naming
-                // the only version the worker speaks, then close.
-                let msg = wire::ErrorMsg {
-                    kind: wire::ErrorKind::Version,
-                    version: 1,
-                    message: format!("worker speaks v1, client sent v{}", hello.version),
-                };
-                let _ = wire::write_frame(&mut stream, wire::tag::ERROR, &msg.encode());
-                continue;
-            }
-            let ack = wire::HelloAck {
-                version: 1,
-                capacity: 1,
-                name: "legacy-v1".to_owned(),
-            };
-            if wire::write_frame(&mut stream, wire::tag::HELLO_ACK, &ack.encode()).is_err() {
-                continue;
-            }
-            // v1 request loop: inline ranges only.
-            let mut backend = LocalBackend::named("legacy-exec");
-            while let Ok((tag, payload)) = wire::read_frame(&mut stream) {
-                match tag {
-                    wire::tag::PING => {
-                        let _ = wire::write_frame(&mut stream, wire::tag::PONG, &[]);
-                    }
-                    wire::tag::RUN_RANGE => {
-                        let request = wire::RunRange::decode(&payload).expect("valid request");
-                        let job = wire::decode_job(&request.job_bytes).expect("valid job");
-                        let out = backend
-                            .run_range(&job, request.start..request.end)
-                            .expect("range runs");
-                        let _ = wire::write_frame(
-                            &mut stream,
-                            wire::tag::BATCH,
-                            &wire::encode_batch_out(&out),
-                        );
-                    }
-                    _ => break,
-                }
-            }
-        }
-    });
-    addr
-}
-
-#[test]
-fn v2_client_falls_back_to_legacy_v1_worker() {
-    let addr = spawn_legacy_v1_worker();
-    let job = noisy_job("legacy", 24, 123);
-    let mut remote = RemoteBackend::connect(addr.to_string()).expect("fallback handshake");
-    assert_eq!(remote.protocol(), 1);
-    assert_eq!(remote.worker_name(), "legacy-v1");
-    let r = remote.run_range(&job, 0..24).expect("remote runs");
-    let l = LocalBackend::new(0).run_range(&job, 0..24).expect("local");
-    assert_eq!(r.histogram, l.histogram);
-    assert_eq!(r.stats, l.stats);
-    assert_eq!(r.prob1_sum, l.prob1_sum);
-}
-
-/// A mixed pool — local slots, a v1-pinned worker and a v2 worker —
-/// must still fold bit-identically with exact prefixes: protocol skew
-/// inside the pool is invisible to results.
-#[test]
-fn mixed_v1_v2_pool_stays_bit_identical() {
-    let job = noisy_job("mixed-versions", 96, 4242);
-    let batch = 8u64;
-    let reference = ShotEngine::serial()
-        .with_batch_size(batch)
-        .run_job(&job)
-        .expect("reference");
-    let prefixes = prefix_references(&job, batch);
-
-    let v1_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let v1_worker = spawn_worker(
-        v1_listener,
-        WorkerConfig::default()
-            .with_name("pool-v1")
-            .with_capacity(1)
-            .with_protocol_cap(1),
-    )
-    .expect("spawn v1");
-    let v2_worker = loopback_worker(1);
-
-    let v1_backend =
-        RemoteBackend::connect(v1_worker.addr().to_string()).expect("connect v1-pinned");
-    assert_eq!(v1_backend.protocol(), 1);
-    let v2_backend = RemoteBackend::connect(v2_worker.addr().to_string()).expect("connect v2");
-    assert_eq!(v2_backend.protocol(), eqasm_runtime::wire::PROTOCOL_VERSION);
-
-    let backends: Vec<Box<dyn ExecBackend>> = vec![
-        Box::new(LocalBackend::new(0)),
-        Box::new(v1_backend),
-        Box::new(v2_backend),
-    ];
-    let queue = JobQueue::with_backends(ServeConfig::default().with_batch_size(batch), backends);
-    let handle = queue
-        .submit(Submission::job("tenant", job))
-        .expect("submits")
-        .remove(0);
-
-    // Sample snapshots while the pool runs: every one must be an
-    // exact prefix whatever protocol served which range.
-    let mut seen = 0usize;
-    loop {
-        let snap = handle.snapshot();
-        let (h, s, m) = &prefixes[snap.batches_done];
-        assert_eq!(&snap.histogram, h, "prefix {} histogram", snap.batches_done);
-        assert_eq!(&snap.stats, s);
-        assert_eq!(&snap.mean_prob1, m);
-        seen += 1;
-        if snap.done {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(seen > 0);
-    let result = handle.wait().expect("completes");
-    assert_eq!(result.histogram, reference.histogram);
-    assert_eq!(result.stats, reference.stats);
-    assert_eq!(result.mean_prob1, reference.mean_prob1);
-}
 
 /// A worker whose job cache holds exactly one job: alternating two
 /// jobs on one connection forces eviction, the typed `JobNotLoaded`
@@ -902,7 +729,6 @@ fn job_cache_eviction_recovers_transparently() {
     let job_a = noisy_job("evict-a", 16, 1);
     let job_b = noisy_job("evict-b", 16, 2);
     let mut remote = RemoteBackend::connect(worker.addr().to_string()).expect("connects");
-    assert_eq!(remote.protocol(), eqasm_runtime::wire::PROTOCOL_VERSION);
 
     let mut local = LocalBackend::new(0);
     // A loads, B loads (evicting A), then A again: the client still
@@ -930,96 +756,7 @@ fn job_cache_eviction_recovers_transparently() {
     assert_eq!(
         traffic.range_request_bytes,
         (traffic.range_requests) * (24 + 5),
-        "v2 range requests must not carry job bytes"
-    );
-}
-
-/// v2 vs v1 per-range request bytes on the same job — the measured
-/// version of the bandwidth claim (also recorded in
-/// BENCH_runtime.json by the throughput bin).
-#[test]
-fn run_range_by_id_reduces_per_range_request_bytes() {
-    let worker_v2 = loopback_worker(1);
-    let v1_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let worker_v1 = spawn_worker(
-        v1_listener,
-        WorkerConfig::default()
-            .with_capacity(1)
-            .with_protocol_cap(1),
-    )
-    .expect("spawn v1");
-
-    let job = noisy_job("bandwidth", 64, 5);
-    let ranges: Vec<std::ops::Range<u64>> = (0..8).map(|i| i * 8..(i + 1) * 8).collect();
-
-    let mut v2 = RemoteBackend::connect(worker_v2.addr().to_string()).expect("v2 connects");
-    let mut v1 = RemoteBackend::connect(worker_v1.addr().to_string()).expect("v1 connects");
-    for range in &ranges {
-        let a = v2.run_range(&job, range.clone()).expect("v2 runs");
-        let b = v1.run_range(&job, range.clone()).expect("v1 runs");
-        assert_eq!(a.histogram, b.histogram);
-    }
-    let t2 = v2.traffic();
-    let t1 = v1.traffic();
-    let per_range_v2 = t2.range_request_bytes / t2.range_requests;
-    let per_range_v1 = t1.range_request_bytes / t1.range_requests;
-    assert!(
-        per_range_v2 * 10 < per_range_v1,
-        "v2 per-range bytes ({per_range_v2}) must be far below v1 ({per_range_v1})"
-    );
-    // Even counting the one-time LoadJob, the total request bytes for
-    // 8 ranges must beat v1's 8 full-job shipments.
-    assert!(t2.total_request_bytes() < t1.total_request_bytes());
-}
-
-/// Job-bytes compression is a v3 capability: a worker capped at v2
-/// does not know [`wire::COMPRESSED_JOB_ID_FLAG`], so the coordinator
-/// must ship it the plain `LoadJob` encoding (a flagged load would be
-/// undecodable there), while a current worker gets the compressed
-/// form — and both produce bit-identical results.
-#[test]
-fn load_job_compression_is_gated_on_negotiated_version() {
-    let v2_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let v2_worker = spawn_worker(
-        v2_listener,
-        WorkerConfig::default()
-            .with_name("v2-capped")
-            .with_capacity(1)
-            .with_protocol_cap(2),
-    )
-    .expect("spawn v2-capped");
-    let v3_worker = loopback_worker(1);
-
-    let job = noisy_job("gated-compression", 32, 6);
-    let job_bytes = wire::encode_job(&job).expect("job encodes");
-    // Frame overhead is tag + u32 length = 5 bytes; both LoadJob
-    // encodings carry a fixed-width id, so length is id-independent.
-    let plain_len = wire::LoadJob::encode_parts(0, &job_bytes).len() as u64 + 5;
-    let auto_len = wire::LoadJob::encode_parts_auto(0, &job_bytes).len() as u64 + 5;
-    assert!(
-        auto_len < plain_len,
-        "the fixed-width job encoding must actually compress"
-    );
-
-    let mut v2 = RemoteBackend::connect(v2_worker.addr().to_string()).expect("v2 connects");
-    assert_eq!(v2.protocol(), 2, "capped worker pins the conversation");
-    let mut v3 = RemoteBackend::connect(v3_worker.addr().to_string()).expect("v3 connects");
-    assert_eq!(v3.protocol(), wire::PROTOCOL_VERSION);
-
-    let a = v2.run_range(&job, 0..32).expect("v2 worker runs");
-    let b = v3.run_range(&job, 0..32).expect("v3 worker runs");
-    assert_eq!(a.histogram, b.histogram);
-    assert_eq!(a.stats, b.stats);
-
-    assert_eq!(
-        v2.traffic().load_request_bytes,
-        plain_len,
-        "a v2 conversation must carry the plain job bytes"
-    );
-    assert_eq!(
-        v3.traffic().load_request_bytes,
-        auto_len,
-        "a v3 conversation ships the compressed form"
+        "range requests must not carry job bytes"
     );
 }
 
@@ -1135,7 +872,7 @@ fn frame_size_budget_rejects_with_typed_error() {
     assert_eq!(tag, wire::tag::HELLO_ACK);
 
     // An 8 KiB frame against a 2 KiB budget: typed Budget rejection.
-    wire::write_frame(&mut stream, wire::tag::RUN_RANGE, &vec![0u8; 8192]).unwrap();
+    wire::write_frame(&mut stream, wire::tag::LOAD_JOB, &vec![0u8; 8192]).unwrap();
     let (tag, payload) = wire::read_frame(&mut stream).expect("rejection");
     assert_eq!(tag, wire::tag::ERROR);
     let msg = wire::ErrorMsg::decode(&payload).expect("typed error");
@@ -1261,8 +998,7 @@ fn version_rejection_not_masked_by_configured_psk() {
             return;
         };
         let _ = wire::read_frame(&mut stream);
-        // A hypothetical peer that speaks only an unsupported version
-        // (0 is below the floor, so no fallback re-offer applies).
+        // A hypothetical peer that speaks another version.
         let msg = wire::ErrorMsg {
             kind: wire::ErrorKind::Version,
             version: 0,
@@ -1274,7 +1010,7 @@ fn version_rejection_not_masked_by_configured_psk() {
         addr.to_string(),
         ConnectOptions::default().with_psk(Psk::new(b"key".to_vec()).unwrap()),
     )
-    .expect_err("no common version");
+    .expect_err("version mismatch");
     assert!(
         !matches!(err, RuntimeError::Auth(_)),
         "version skew must not be reported as an auth failure: {err}"
@@ -1285,17 +1021,17 @@ fn version_rejection_not_masked_by_configured_psk() {
     );
 }
 
-/// A PSK-configured client against a server that never authenticates
-/// (a legacy v1 worker): the version fallback still runs, and the
-/// refusal is the typed no-downgrade auth error.
+/// A PSK-configured client against a current-version worker that
+/// never authenticates (no key configured): the refusal is the typed
+/// no-downgrade auth error.
 #[test]
-fn configured_psk_refuses_unauthenticated_legacy_server() {
-    let addr = spawn_legacy_v1_worker();
+fn configured_psk_refuses_unauthenticated_server() {
+    let worker = loopback_worker(1);
     let err = RemoteBackend::connect_opts(
-        addr.to_string(),
+        worker.addr().to_string(),
         ConnectOptions::default().with_psk(Psk::new(b"key".to_vec()).unwrap()),
     )
-    .expect_err("keyless legacy server refused");
+    .expect_err("keyless server refused");
     assert!(matches!(err, RuntimeError::Auth(_)), "{err}");
     assert!(
         err.to_string().contains("did not request authentication"),

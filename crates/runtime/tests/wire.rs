@@ -415,23 +415,6 @@ fn short_frame_body_is_io_error() {
 }
 
 #[test]
-fn run_range_frame_roundtrip() {
-    let job = Job::new(
-        "frame",
-        Instantiation::paper_two_qubit(),
-        vec![Instruction::Stop],
-    );
-    let request = wire::RunRange {
-        start: 128,
-        end: 256,
-        job_bytes: encode_job(&job).unwrap(),
-    };
-    let decoded = wire::RunRange::decode(&request.encode()).unwrap();
-    assert_eq!(decoded, request);
-    assert_eq!(decode_job(&decoded.job_bytes).unwrap(), job);
-}
-
-#[test]
 fn fingerprint_distinguishes_jobs() {
     let a = encode_job(&Job::new(
         "a",
@@ -450,33 +433,8 @@ fn fingerprint_distinguishes_jobs() {
 }
 
 // ---------------------------------------------------------------------
-// v2: negotiation, job registry, auth and service codecs
+// Job registry, auth and service codecs
 // ---------------------------------------------------------------------
-
-#[test]
-fn negotiate_picks_min_of_both_ends() {
-    use wire::{negotiate, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION),
-        Some(PROTOCOL_VERSION)
-    );
-    assert_eq!(
-        negotiate(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION),
-        Some(MIN_PROTOCOL_VERSION),
-        "a v1 client gets a v1 conversation"
-    );
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION + 9, PROTOCOL_VERSION),
-        Some(PROTOCOL_VERSION),
-        "a future client settles on what we speak"
-    );
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION, MIN_PROTOCOL_VERSION),
-        Some(MIN_PROTOCOL_VERSION),
-        "a capped server pins the conversation down"
-    );
-    assert_eq!(negotiate(0, PROTOCOL_VERSION), None, "below the floor");
-}
 
 #[test]
 fn load_job_and_run_range_by_id_roundtrip() {
@@ -514,28 +472,6 @@ fn load_job_and_run_range_by_id_roundtrip() {
         "the by-id request is constant-size whatever the program"
     );
     assert_eq!(wire::RunRangeById::decode(&encoded).unwrap(), run);
-}
-
-#[test]
-fn run_range_by_id_is_smaller_than_inline_for_any_real_job() {
-    // The bandwidth claim behind the v2 registry, as an invariant.
-    let job = Job::new("big", Instantiation::paper(), vec![Instruction::Nop; 256]);
-    let inline = wire::RunRange {
-        start: 0,
-        end: 256,
-        job_bytes: encode_job(&job).unwrap(),
-    };
-    let by_id = wire::RunRangeById {
-        job_id: 7,
-        start: 0,
-        end: 256,
-    };
-    assert!(
-        by_id.encode().len() * 10 < inline.encode().len(),
-        "by-id request ({}B) must be far below the inline request ({}B)",
-        by_id.encode().len(),
-        inline.encode().len()
-    );
 }
 
 #[test]
@@ -712,12 +648,12 @@ fn submit_ack_roundtrips() {
 }
 
 // ---------------------------------------------------------------------
-// v4: incremental framing (FrameReader / FrameWriter) and resume codec
+// Incremental framing (FrameReader / FrameWriter) and resume codec
 // ---------------------------------------------------------------------
 
 /// Every frame shape the protocol ships, as one stream: the full auth
-/// transcript, a compressed `LoadJob`, v3 and v4 subscribes, inline
-/// and by-id run requests, snapshots and typed errors. The incremental
+/// transcript, plain and compressed `LoadJob`s, fresh and resuming
+/// subscribes, by-id run requests, snapshots and typed errors. The incremental
 /// reader must decode this stream identically to the blocking reader
 /// however the bytes are chopped up.
 fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
@@ -783,13 +719,8 @@ fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
         ),
         (wire::tag::LOAD_JOB, compressed_load),
         (
-            wire::tag::RUN_RANGE,
-            wire::RunRange {
-                start: 0,
-                end: 64,
-                job_bytes,
-            }
-            .encode(),
+            wire::tag::LOAD_JOB,
+            wire::LoadJob::encode_parts(8, &job_bytes),
         ),
         (
             wire::tag::RUN_RANGE_BY_ID,
@@ -916,9 +847,9 @@ proptest! {
 }
 
 #[test]
-fn subscribe_codec_v3_and_v4_forms() {
-    // The plain form is byte-identical to a v3 job-id payload — a v4
-    // server needs no version sniffing to accept v3 subscribers.
+fn subscribe_codec_fresh_and_resume_forms() {
+    // The fresh form (`resume_after: None`) is byte-identical to a
+    // bare job-id payload.
     let plain = wire::encode_subscribe(&wire::Subscribe {
         job_id: 5,
         resume_after: None,

@@ -102,7 +102,7 @@ fn raise_fd_limit() -> u64 {
     0
 }
 
-/// One raw wire-v4 subscriber: connect, HELLO/HELLO_ACK, SUBSCRIBE —
+/// One raw wire subscriber: connect, HELLO/HELLO_ACK, SUBSCRIBE —
 /// then park. No reader thread; the stream's frames sit in the kernel
 /// buffer until [`drain`] collects them.
 fn subscribe(addr: &std::net::SocketAddr, job_id: u64) -> Result<TcpStream, wire::WireError> {

@@ -100,7 +100,7 @@
 //!   --capacity <n>   advertised concurrent slots (default: parallelism)
 //!   --name <s>       worker name shown to coordinators (default: hostname-ish)
 //!   --psk-file <f>   require the fleet pre-shared key on every connection
-//!   --job-cache <n>  per-connection v2 job-registry capacity (default 8)
+//!   --job-cache <n>  per-connection job-registry capacity (default 8)
 //!   --max-frame <n>  per-connection frame-size budget, bytes
 //!   --rate-limit <n> per-connection request-rate budget, requests/sec
 //!   --metrics <a>    Prometheus endpoint, as for `serve`
@@ -1459,7 +1459,7 @@ fn cmd_submit(
     println!(
         "connected to `{}` at {addr} (wire v{})",
         client.server_name(),
-        client.protocol()
+        eqasm::runtime::wire::PROTOCOL_VERSION
     );
 
     let started = std::time::Instant::now();
