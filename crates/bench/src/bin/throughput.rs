@@ -12,12 +12,9 @@ use std::sync::Arc;
 use eqasm_core::{Instantiation, Qubit, Topology};
 use eqasm_microarch::SimConfig;
 use eqasm_quantum::{NoiseModel, ReadoutModel};
-use eqasm_runtime::loadgen::RpsStep;
 use eqasm_runtime::{
-    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ExecBackend, Job, JobQueue,
-    JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend, ServeConfig,
-    ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget, WorkerConfig,
-    WorkloadKind, WorkloadSpec,
+    spawn_serve, spawn_worker, Client, ExecBackend, Job, JobQueue, JournalConfig, LocalBackend,
+    RemoteBackend, ServeConfig, ServeNetConfig, ShotEngine, Submission, WorkerConfig,
 };
 use eqasm_workloads::rb_program;
 
@@ -390,12 +387,21 @@ fn main() {
         remote_rate
     );
 
-    // Elastic: the same job on a deliberately degraded pool (one
-    // local slot), with a loopback worker attached **mid-run** —
-    // recording shots/sec before and after the attach. This prices
-    // what the pool supervisor buys a production deployment: a
-    // degraded coordinator regains throughput the moment a worker
-    // (re)joins, with the result still asserted bit-identical.
+    // Elastic: a job on a deliberately degraded pool (one local
+    // slot), with a loopback worker attached **mid-run** — recording
+    // shots/sec before and after the attach. This prices what the pool
+    // supervisor buys a production deployment: a degraded coordinator
+    // regains throughput the moment a worker (re)joins, with the
+    // result still asserted bit-identical. The job is sized from the
+    // measured serial rate to run about half a second on one slot, so
+    // it is still running when the attach returns; the after-phase is
+    // rated from the shots left at that point and the time left.
+    let elastic_shots = ((serial_rate * 0.5) as u64).max(shots);
+    let elastic_job = job.clone().with_shots(elastic_shots);
+    let elastic_reference = ShotEngine::serial()
+        .with_batch_size(64)
+        .run_job(&elastic_job)
+        .expect("elastic reference runs");
     let elistener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let eworker = spawn_worker(
         elistener,
@@ -408,13 +414,13 @@ fn main() {
         ServeConfig::default().with_batch_size(64),
         vec![Box::new(LocalBackend::new(0))],
     );
-    let attach_at = shots / 2;
+    let attach_at = elastic_shots / 4;
     let estarted = std::time::Instant::now();
     let ehandle = elastic_queue
-        .submit(Submission::job("elastic", job.clone()))
+        .submit(Submission::job("elastic", elastic_job))
         .expect("submits")
         .remove(0);
-    // Degraded phase: wait for roughly half the shots on one slot.
+    // Degraded phase: wait for a quarter of the shots on one slot.
     let (before_shots, before_elapsed) = loop {
         let snap = ehandle.snapshot();
         if snap.shots_done >= attach_at || snap.done {
@@ -431,19 +437,34 @@ fn main() {
             .expect("attach elastic slot");
         elastic_slots += 1;
     }
+    let attached = ehandle.snapshot();
     let attach_elapsed = estarted.elapsed();
+    assert!(
+        !attached.done,
+        "elastic job ({elastic_shots} shots) finished before the attach returned; \
+         the after-phase would measure nothing"
+    );
     let elastic_result = ehandle.wait().expect("completes");
     let after_elapsed = estarted.elapsed() - attach_elapsed;
     assert_eq!(
-        elastic_result.histogram, reference.histogram,
+        elastic_result.histogram, elastic_reference.histogram,
         "mid-run attach must be bit-identical to the local engine"
     );
-    assert_eq!(elastic_result.stats, reference.stats);
-    assert_eq!(elastic_result.mean_prob1, reference.mean_prob1);
+    assert_eq!(elastic_result.stats, elastic_reference.stats);
+    assert_eq!(elastic_result.mean_prob1, elastic_reference.mean_prob1);
     let before_rate = before_shots as f64 / before_elapsed.as_secs_f64().max(1e-9);
-    let after_rate = (shots - before_shots) as f64 / after_elapsed.as_secs_f64().max(1e-9);
+    let after_rate =
+        (elastic_shots - attached.shots_done) as f64 / after_elapsed.as_secs_f64().max(1e-9);
+    // No slot outruns the serial engine by more than a small factor,
+    // so a higher after-rate means the window was mismeasured.
+    let after_bound = 4.0 * elastic_slots as f64 * serial_rate;
+    assert!(
+        after_rate <= after_bound,
+        "elastic after-attach rate {after_rate:.0} shots/s exceeds the sanity bound \
+         {after_bound:.0} (4 x {elastic_slots} slots x serial {serial_rate:.0} shots/s)"
+    );
     println!(
-        "\nelastic: 1 -> {elastic_slots} slots mid-run, {before_rate:.0} shots/s degraded -> {after_rate:.0} shots/s after attach (bit-identical)"
+        "\nelastic: {elastic_shots} shots, 1 -> {elastic_slots} slots mid-run, {before_rate:.0} shots/s degraded -> {after_rate:.0} shots/s after attach (bit-identical)"
     );
 
     // Client front door: the same job submitted over the wire
@@ -528,79 +549,6 @@ fn main() {
         load_job_auto as f64 * 100.0 / load_job_raw.max(1) as f64
     );
 
-    // Capacity: an actual open-loop ramp against the serve front
-    // door. A fresh coordinator (2 local slots) and a live `/metrics`
-    // endpoint take stepped submission rates of the same noisy RB
-    // workload until a rung breaches a failure-rate or p50-latency
-    // ceiling — the max-sustainable-rps number, with server-side
-    // truth per rung, lands in the `capacity` JSON section. The
-    // initial rate is derived from the measured serial shot rate so
-    // the geometric ramp reaches the knee in a handful of rungs on
-    // any host.
-    let cap_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let cap_queue = Arc::new(JobQueue::with_backends(
-        ServeConfig::default().with_batch_size(64),
-        vec![
-            Box::new(LocalBackend::new(0)),
-            Box::new(LocalBackend::new(1)),
-        ],
-    ));
-    let cap_server = spawn_serve(
-        cap_listener,
-        Arc::clone(&cap_queue),
-        ServeNetConfig::default().with_name("bench-capacity"),
-    )
-    .expect("spawn capacity serve");
-    let cap_metrics =
-        MetricsServer::spawn("127.0.0.1:0", eqasm_runtime::metrics::default_registry())
-            .expect("spawn capacity metrics");
-    let cap_shots = (shots / 4).max(250);
-    // Two slots × serial rate, in jobs/sec — the rough service capacity
-    // the ramp is hunting for.
-    let cap_jobs_per_sec = (2.0 * serial_rate / cap_shots as f64).max(2.0);
-    let cap_spec = LoadSpec::new(vec![LoadClass {
-        tenant: "cap".into(),
-        spec: WorkloadSpec::new(
-            "rb-k24",
-            WorkloadKind::Rb {
-                k: 24,
-                interval_cycles: 1,
-                sequence_seed: 0x5eed,
-            },
-            cap_shots,
-        )
-        .with_config(job.config.clone()),
-        share: 1,
-    }])
-    .with_shots(ShotsDist::fixed(cap_shots))
-    .with_connections(2)
-    .with_watchers(1)
-    .with_seed(0xcafe);
-    let cap_config = SweepConfig {
-        initial_rps: (cap_jobs_per_sec / 2.0).max(2.0),
-        step: RpsStep::Mul(2.0),
-        max_rps: cap_jobs_per_sec * 16.0,
-        window: std::time::Duration::from_millis(1500),
-        drain_timeout: std::time::Duration::from_secs(8),
-        stop: Ceilings {
-            failure_rate: 0.4,
-            p50: std::time::Duration::from_millis(1500),
-        },
-        ..SweepConfig::default()
-    };
-    let cap_target = SweepTarget::new(cap_server.addr().to_string())
-        .with_metrics(cap_metrics.local_addr().to_string());
-    let capacity =
-        capacity_sweep(&cap_spec, &cap_target, &cap_config).expect("capacity sweep runs");
-    println!(
-        "\ncapacity: {} rungs, max sustainable {:.1} rps (stop: {})",
-        capacity.rungs.len(),
-        capacity.max_sustainable_rps,
-        capacity.stop,
-    );
-    print!("{}", capacity.table());
-    drop(cap_metrics);
-
     // Scrape cost: price one full exposition encode of everything the
     // sections above accumulated, so the trajectory tracks how
     // expensive a Prometheus scrape is as the series catalogue grows.
@@ -616,14 +564,13 @@ fn main() {
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"run_range_bytes_v2\": {per_range},\n    \"load_job_bytes_once\": {},\n    \"load_job_bytes_raw\": {load_job_raw},\n    \"load_job_bytes_compressed\": {load_job_auto},\n    \"total_request_bytes_v2\": {}\n  }},\n  \"capacity\":\n{}\n}}\n",
+        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"shots\": {elastic_shots},\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"run_range_bytes_v2\": {per_range},\n    \"load_job_bytes_once\": {},\n    \"load_job_bytes_raw\": {load_job_raw},\n    \"load_job_bytes_compressed\": {load_job_auto},\n    \"total_request_bytes_v2\": {}\n  }}\n}}\n",
         rows.join(",\n"),
         sp_rows.join(",\n"),
         serve_rows.join(",\n"),
         exposition.len(),
         traffic.load_request_bytes,
         traffic.total_request_bytes(),
-        capacity.to_json("  ")
     );
     std::fs::write(&out_path, &json).expect("write trajectory point");
     println!("wrote {out_path} (host parallelism: {available})");

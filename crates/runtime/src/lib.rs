@@ -69,16 +69,12 @@
 //!   serve`/`worker`). Scrapes read only atomics — never the queue
 //!   mutex — so observing the service cannot stall it. The series
 //!   catalogue lives in `METRICS.md`;
-//! * [`loadgen`] — the instrument that pressures all of the above: an
-//!   open-loop load generator ([`loadgen::LoadSpec`],
-//!   [`loadgen::run_rung`]) whose pacer never slows when the server
-//!   lags, a [`loadgen::capacity_sweep`] ramp that steps the target
-//!   rate until a failure-rate or p50-latency ceiling is breached
-//!   (scraping `/metrics` for server-side truth, emitting the
-//!   `capacity` section of `BENCH_runtime.json`), and a
-//!   [`loadgen::churn_sweep`] that cycles
-//!   connect/subscribe/resume/disconnect watchers while checking
-//!   resume correctness (`eqasm-cli loadgen` rides all three).
+//! * [`loadgen`] — client-side instruments for the front door: a
+//!   `/metrics` scraper ([`loadgen::scrape_metrics`] into a
+//!   [`loadgen::MetricsSnapshot`], which the `servebench` harness
+//!   uses for server-side truth) and a [`loadgen::churn_sweep`] that
+//!   cycles connect/subscribe/resume/disconnect watchers while
+//!   checking resume correctness (`eqasm-cli churn`).
 //!
 //! ## Determinism — including across hosts
 //!
@@ -196,10 +192,7 @@ pub use engine::ShotEngine;
 pub use error::RuntimeError;
 pub use job::{default_batch_size, partition_shots, Job};
 pub use journal::{FsyncPolicy, JournalConfig, JournalError, RecoveryReport};
-pub use loadgen::{
-    capacity_sweep, churn_sweep, run_rung, CapacityReport, Ceilings, ChurnConfig, ChurnReport,
-    LoadClass, LoadSpec, RungReport, ShotsDist, SweepConfig, SweepTarget,
-};
+pub use loadgen::{churn_sweep, ChurnConfig, ChurnReport, SweepTarget};
 pub use metrics::MetricsServer;
 pub use net::{
     ping, ping_opts, ping_within, run_serve_until, run_worker, run_worker_until, spawn_serve,

@@ -8,7 +8,7 @@
 //! * **Readiness** comes from `epoll(7)` via raw FFI (the same
 //!   no-dependency route the CLI uses for `signal(2)`), with a
 //!   portable `poll(2)` fallback — selected automatically when epoll
-//!   is unavailable, or forced with `EQASM_REACTOR=poll`.
+//!   is unavailable.
 //! * **Connections** are per-fd state machines
 //!   (`Handshaking → Serving → Subscribed`), fed by the incremental
 //!   [`wire::FrameReader`] and drained through the bounded
@@ -145,7 +145,7 @@ enum Poller {
     Epoll(RawFd),
     /// Portable `poll(2)`: O(registered) per wait, fine for tests and
     /// small deployments, and the automatic fallback when epoll is
-    /// unavailable. Forced with `EQASM_REACTOR=poll`.
+    /// unavailable.
     Poll(Vec<PollEntry>),
 }
 
@@ -157,11 +157,8 @@ struct PollEntry {
 
 impl Poller {
     fn new() -> std::io::Result<Poller> {
-        let forced = std::env::var("EQASM_REACTOR")
-            .map(|v| v == "poll")
-            .unwrap_or(false);
         #[cfg(target_os = "linux")]
-        if !forced {
+        {
             let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
             if epfd >= 0 {
                 return Ok(Poller::Epoll(epfd));
@@ -169,7 +166,6 @@ impl Poller {
             // Fall through to poll(2) — e.g. a kernel without epoll or
             // an exhausted fd table at the moment of creation.
         }
-        let _ = forced;
         Ok(Poller::Poll(Vec::new()))
     }
 

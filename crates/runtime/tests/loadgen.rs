@@ -1,15 +1,9 @@
-//! Integration tests for the load generator: `/metrics` scraping that
-//! survives a mid-scrape coordinator restart, a tiny two-rung
-//! capacity sweep against an in-process `spawn_serve` coordinator
-//! (asserting the `capacity` JSON schema), a short subscriber-churn
-//! sweep, and end-to-end coverage of the `CliffordChain` workload
-//! (wire roundtrip and stabilizer selection above the dense ceiling).
-//!
-//! Note on metrics: every in-process server here shares the
-//! process-global default registry, and the test harness runs tests
-//! concurrently — so server-side assertions are existence/positivity
-//! checks, not exact totals. The CI capacity-sweep smoke leg runs a
-//! *dedicated* serve process and asserts exact shot accounting there.
+//! Integration tests for the client-side instruments: `/metrics`
+//! scraping that survives a mid-scrape coordinator restart, short
+//! subscriber-churn sweeps against an in-process `spawn_serve`
+//! coordinator, and end-to-end coverage of the `CliffordChain`
+//! workload (wire roundtrip and stabilizer selection above the dense
+//! ceiling).
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
@@ -17,12 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eqasm_microarch::{QuMa, SimBackendKind};
-use eqasm_runtime::loadgen::{scrape_metrics, scrape_with_retry, RpsStep, StopCause};
+use eqasm_runtime::loadgen::{scrape_metrics, scrape_with_retry};
 use eqasm_runtime::serve::{JobQueue, ServeConfig, Submission};
 use eqasm_runtime::{
-    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, LoadClass,
-    LoadSpec, ServeHandle, ServeNetConfig, ShotsDist, SweepConfig, SweepTarget, WorkloadKind,
-    WorkloadSpec,
+    churn_sweep, spawn_serve, wire, ChurnConfig, Client, ServeHandle, ServeNetConfig, SweepTarget,
+    WorkloadKind, WorkloadSpec,
 };
 
 /// A queue with `workers` local slots behind a loopback acceptor.
@@ -38,8 +31,7 @@ fn serve_fixture(workers: usize, batch: u64) -> (Arc<JobQueue>, ServeHandle) {
     (queue, handle)
 }
 
-/// A cheap one-qubit RB template — fast enough that sweep rungs
-/// complete well inside their drain window on any CI machine.
+/// A cheap one-qubit RB template.
 fn rb_spec(shots: u64) -> WorkloadSpec {
     WorkloadSpec::new(
         "rb",
@@ -52,16 +44,8 @@ fn rb_spec(shots: u64) -> WorkloadSpec {
     )
 }
 
-fn active_reset_spec(shots: u64) -> WorkloadSpec {
-    WorkloadSpec::new(
-        "active-reset",
-        WorkloadKind::ActiveReset { init_cycles: 100 },
-        shots,
-    )
-}
-
 // ---------------------------------------------------------------------------
-// Satellite 3: restart-tolerant scraping
+// Restart-tolerant scraping
 // ---------------------------------------------------------------------------
 
 /// A fake metrics endpoint whose first connection dies before any
@@ -114,144 +98,7 @@ fn scrape_retry_reports_typed_error_when_endpoint_stays_down() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 4: loopback capacity sweep
-// ---------------------------------------------------------------------------
-
-/// A two-rung ramp against an in-process coordinator + metrics
-/// server: the sweep must hold both rungs, stop at `max_rps`, record
-/// server-side truth, and emit the documented `capacity` JSON schema.
-#[test]
-fn two_rung_loopback_sweep_emits_capacity_schema() {
-    let (_queue, server) = serve_fixture(2, 16);
-    let metrics = eqasm_runtime::MetricsServer::spawn(
-        "127.0.0.1:0",
-        eqasm_runtime::metrics::default_registry(),
-    )
-    .expect("metrics server");
-
-    let spec = LoadSpec::new(vec![
-        LoadClass {
-            tenant: "alice".into(),
-            spec: rb_spec(24),
-            share: 2,
-        },
-        LoadClass {
-            tenant: "bob".into(),
-            spec: active_reset_spec(24),
-            share: 1,
-        },
-    ])
-    .with_shots(ShotsDist::fixed(24))
-    .with_subscribe_ratio(0.25)
-    .with_connections(2)
-    .with_watchers(1)
-    .with_seed(7);
-
-    let target =
-        SweepTarget::new(server.addr().to_string()).with_metrics(metrics.local_addr().to_string());
-    // Ceilings loose enough that tiny loopback jobs cannot breach:
-    // the ramp must terminate on MaxRps, deterministically.
-    let config = SweepConfig {
-        initial_rps: 8.0,
-        step: RpsStep::Mul(2.0),
-        max_rps: 16.0,
-        window: Duration::from_millis(800),
-        drain_timeout: Duration::from_secs(20),
-        stop: Ceilings {
-            failure_rate: 0.99,
-            p50: Duration::from_secs(30),
-        },
-        ..SweepConfig::default()
-    };
-
-    let report = capacity_sweep(&spec, &target, &config).expect("sweep runs");
-    assert_eq!(report.rungs.len(), 2, "8 → 16 rps is exactly two rungs");
-    assert_eq!(report.stop, StopCause::MaxRps);
-    assert!(report.breach_rung().is_none());
-    assert!(
-        report.max_sustainable_rps > 0.0,
-        "a healthy loopback sweep must sustain something: {report:?}"
-    );
-    for rung in &report.rungs {
-        assert!(rung.offered > 0, "pacer must schedule ticks");
-        assert!(rung.submitted > 0, "coordinator must ack submissions");
-        assert!(rung.completed > 0, "jobs must finish inside the drain");
-        assert_eq!(rung.timed_out, 0, "nothing may be left behind");
-        assert!(rung.shots_submitted >= rung.submitted * 24);
-        let server = rung.server.as_ref().expect("metrics endpoint was scraped");
-        assert!(
-            server.shots_completed > 0,
-            "server-side truth must show shot progress"
-        );
-        assert!(!server.restarted, "no restart happened");
-    }
-
-    // The `capacity` section schema, as BENCH_runtime.json embeds it.
-    let json = report.to_json("");
-    for key in [
-        "\"max_sustainable_rps\"",
-        "\"stop\": \"max_rps\"",
-        "\"stop_rung\": null",
-        "\"rungs\"",
-        "\"target_rps\"",
-        "\"shots_submitted\"",
-        "\"failure_rate\"",
-        "\"achieved_rps\"",
-        "\"p50_ms\"",
-        "\"p95_ms\"",
-        "\"p99_ms\"",
-        "\"max_submit_lag_ms\"",
-        "\"breach\": null",
-        "\"peak_queue_depth\"",
-        "\"recovered_jobs\"",
-    ] {
-        assert!(
-            json.contains(key),
-            "capacity JSON must contain {key}: {json}"
-        );
-    }
-    // And the human-readable rung table renders one row per rung.
-    let table = report.table();
-    assert!(table.lines().count() >= 2 + report.rungs.len());
-
-    drop(metrics);
-}
-
-/// Ceiling breaches stop the ramp: with a stop ceiling of zero
-/// latency, the very first rung breaches and the sweep reports it.
-#[test]
-fn sweep_stops_on_first_rung_when_ceiling_is_unmeetable() {
-    let (_queue, server) = serve_fixture(2, 16);
-    let spec = LoadSpec::new(vec![LoadClass {
-        tenant: "t".into(),
-        spec: rb_spec(16),
-        share: 1,
-    }])
-    .with_connections(1)
-    .with_watchers(1);
-    let target = SweepTarget::new(server.addr().to_string());
-    let config = SweepConfig {
-        initial_rps: 4.0,
-        max_rps: 256.0,
-        window: Duration::from_millis(400),
-        drain_timeout: Duration::from_secs(10),
-        stop: Ceilings {
-            failure_rate: 0.5,
-            p50: Duration::from_nanos(1),
-        },
-        ..SweepConfig::default()
-    };
-    let report = capacity_sweep(&spec, &target, &config).expect("sweep runs");
-    assert_eq!(report.stop, StopCause::CeilingBreached);
-    assert_eq!(report.rungs.len(), 1, "first rung breaches, ramp stops");
-    assert_eq!(report.breach_rung(), Some(0));
-    let json = report.to_json("  ");
-    assert!(json.contains("\"stop\": \"ceiling_breached\""));
-    assert!(json.contains("\"stop_rung\": 0"));
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 1: subscriber churn
+// Subscriber churn
 // ---------------------------------------------------------------------------
 
 /// A short churn sweep against the loopback coordinator: cycles must
@@ -265,7 +112,6 @@ fn churn_sweep_holds_resume_correctness() {
         workers: 3,
         duration: Duration::from_millis(1500),
         snapshots_per_cycle: 2,
-        job_shots: 50_000,
     };
     let report = churn_sweep(&rb_spec(50_000), &target, &config).expect("churn runs");
     assert!(
@@ -281,8 +127,39 @@ fn churn_sweep_holds_resume_correctness() {
     assert!(report.cycles_per_sec > 0.0);
 }
 
+/// Every generation of the churn job — the first, submitted before
+/// the workers start, and every resubmission from inside a worker —
+/// carries the template's shot count. The job is small so that it
+/// completes many times within the sweep.
+#[test]
+fn churn_sweep_submits_every_generation_with_the_template_shots() {
+    let (queue, server) = serve_fixture(2, 8);
+    let target = SweepTarget::new(server.addr().to_string());
+    let config = ChurnConfig {
+        workers: 2,
+        duration: Duration::from_millis(1000),
+        snapshots_per_cycle: 2,
+    };
+    let template = rb_spec(400);
+    let report = churn_sweep(&template, &target, &config).expect("churn runs");
+    assert!(
+        report.jobs_driven >= 2,
+        "a 400-shot job must complete and be resubmitted: {report:?}"
+    );
+    let jobs = queue.job_handles();
+    assert_eq!(jobs.len() as u64, report.jobs_driven);
+    for job in &jobs {
+        let snap = job.snapshot();
+        assert_eq!(
+            snap.shots_total, template.shots,
+            "churn job `{}` ignored the template's shots",
+            snap.name
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Satellite 2: large-n Clifford workload, end to end
+// Large-n Clifford workload, end to end
 // ---------------------------------------------------------------------------
 
 /// Tag-5 wire roundtrip: a CliffordChain submission encodes, decodes,

@@ -19,12 +19,9 @@
 //! eqasm-cli status   --connect <addr> --job <id>   one snapshot per job id
 //! eqasm-cli watch    --connect <addr> --job <id>   stream one job to completion
 //!                    [--resume-after batches]       …skipping an already-folded prefix
-//! eqasm-cli loadgen  [spec] --connect <addr> drive a running coordinator
-//!                                            open-loop at stepped target
-//!                                            submission rates until a
-//!                                            failure-rate or p50-latency
-//!                                            ceiling is breached; print the
-//!                                            per-rung capacity table
+//! eqasm-cli churn    [spec] --connect <addr> cycle subscribers against a
+//!                                            running coordinator and check
+//!                                            resume correctness
 //! eqasm-cli worker   --listen <addr>         long-lived remote shot worker
 //!                                            speaking the versioned wire
 //!                                            protocol
@@ -70,30 +67,20 @@
 //!                     serial engine and require bit-identical aggregates
 //!   --psk-file <f>    authenticate with the fleet pre-shared key
 //!
-//! options for `loadgen` (spec defaults to `mix`):
+//! options for `churn` (spec defaults to `mix`; its first workload is
+//! the long-running job the watchers cycle against, resubmitted
+//! whenever it completes): connect, subscribe with a resume point,
+//! read a few snapshots, drop the connection — and exit nonzero on
+//! any resume violation. The knee of the front door is measured by
+//! the `servebench` harness, not here.
 //!   --connect <addr>       the serve coordinator (required)
-//!   --scrape <addr>        the coordinator's `/metrics` endpoint — scraped
-//!                          per rung for server-side truth (queue depth,
-//!                          admission rejections, shots completed)
-//!   --initial-rps <r>      first rung's target submissions/sec (default 4)
-//!   --rps-factor <f>       multiply the rate by f per rung (default 2)
-//!   --rps-step <r>         …or add r per rung instead
-//!   --max-rps <r>          stop ramping past this rate (default 256)
-//!   --rung-secs <s>        measurement window per rung (default 5)
-//!   --drain-secs <s>       post-window completion grace (default 10)
-//!   --stop-failure-rate <x>  stop ceiling on failed/offered (default 0.4)
-//!   --stop-p50-ms <ms>     stop ceiling on median latency (default 2000)
-//!   --connections <n>      concurrent submitter connections (default 4)
-//!   --watchers <n>         watcher connections for --subscribe-ratio
-//!   --subscribe-ratio <x>  fraction of jobs watched via SUBSCRIBE (0..=1)
-//!   --shots / --seed       per-job shots and base seed, as for `submit`
-//!   --json                 print the `capacity` JSON object instead of
-//!                          (well, after) the rung table
-//!   --churn                subscriber-churn sweep instead of a rate ramp:
-//!                          cycle connect/subscribe/resume/disconnect
-//!                          watchers, verify resume correctness, report
-//!                          cycles/sec and reactor wakeups/sec
-//!   --churn-secs <s>       churn sweep duration (default 5)
+//!   --scrape <addr>        the coordinator's `/metrics` endpoint, for
+//!                          reactor wakeups/sec and server-side resumes
+//!   --churn-secs <s>       sweep duration (default 5)
+//!   --connections <n>      concurrent churn workers (default 4)
+//!   --shots <n>            shots of the churned job (default 200000)
+//!   --seed <n>             base seed, as for `submit`
+//!   --psk-file <f>         authenticate with the fleet pre-shared key
 //!
 //! options for `worker`:
 //!   --listen <addr>  address to bind, e.g. 127.0.0.1:7777 (required)
@@ -121,11 +108,10 @@ use eqasm::asm::{disassemble_source, encoding};
 use eqasm::compiler::lift_program;
 use eqasm::prelude::*;
 use eqasm::runtime::{
-    capacity_sweep, churn_sweep, Ceilings, ChurnConfig, Client, ConnectOptions, ExecBackend,
-    FsyncPolicy, Job, JobHandle, JobQueue, JournalConfig, LoadClass, LoadSpec, LocalBackend,
-    MixedWorkload, PartialResult, PoolSupervisor, Psk, RemoteBackend, ServeConfig, ServeNetConfig,
-    ShotEngine, Submission, SupervisorConfig, SweepConfig, SweepTarget, WorkerConfig, WorkloadKind,
-    WorkloadReport, WorkloadSpec,
+    churn_sweep, ChurnConfig, Client, ConnectOptions, ExecBackend, FsyncPolicy, Job, JobHandle,
+    JobQueue, JournalConfig, LocalBackend, MixedWorkload, PartialResult, PoolSupervisor, Psk,
+    RemoteBackend, ServeConfig, ServeNetConfig, ShotEngine, Submission, SupervisorConfig,
+    SweepTarget, WorkerConfig, WorkloadKind, WorkloadReport, WorkloadSpec,
 };
 
 /// SIGINT/SIGTERM → one atomic flag, so the worker daemon can drain
@@ -177,43 +163,19 @@ fn load_instantiation(chip: &str) -> Result<Instantiation, String> {
     }
 }
 
-/// The `loadgen` subcommand's knobs, parsed alongside the shared
+/// The `churn` subcommand's knobs, parsed alongside the shared
 /// flags and rejected on any other subcommand.
-struct LoadgenOpts {
-    initial_rps: f64,
-    rps_step: Option<f64>,
-    rps_factor: Option<f64>,
-    max_rps: f64,
-    rung_secs: f64,
-    drain_secs: f64,
-    stop_failure_rate: f64,
-    stop_p50_ms: f64,
+struct ChurnOpts {
     connections: usize,
-    watchers: usize,
-    subscribe_ratio: f64,
     scrape: Option<String>,
-    json: bool,
-    churn: bool,
     churn_secs: f64,
 }
 
-impl Default for LoadgenOpts {
-    fn default() -> LoadgenOpts {
-        LoadgenOpts {
-            initial_rps: 4.0,
-            rps_step: None,
-            rps_factor: None,
-            max_rps: 256.0,
-            rung_secs: 5.0,
-            drain_secs: 10.0,
-            stop_failure_rate: 0.4,
-            stop_p50_ms: 2000.0,
+impl Default for ChurnOpts {
+    fn default() -> ChurnOpts {
+        ChurnOpts {
             connections: 4,
-            watchers: 2,
-            subscribe_ratio: 0.0,
             scrape: None,
-            json: false,
-            churn: false,
             churn_secs: 5.0,
         }
     }
@@ -221,7 +183,7 @@ impl Default for LoadgenOpts {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: eqasm-cli <asm|disasm|run|lift> <file> [--seed n] [--shots n] [--workers n] [--chip name] [--trace]\n       eqasm-cli <workload|serve> <rabi|allxy|rb|active-reset|mix> [--shots n] [--workers n] [--seed n] [--remote host:port,...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli serve --listen <addr> [--workers n] [--remote ...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli submit <rabi|allxy|rb|active-reset|mix> --connect <addr> [--shots n] [--seed n] [--verify-serial] [--psk-file f]\n       eqasm-cli status --connect <addr> --job <id> [--job <id> ...] [--psk-file f]\n       eqasm-cli loadgen [rabi|allxy|rb|active-reset|stabilizer|mix] --connect <addr> [--scrape addr] [--initial-rps r] [--rps-factor f | --rps-step r] [--max-rps r] [--rung-secs s] [--drain-secs s] [--stop-failure-rate x] [--stop-p50-ms ms] [--connections n] [--watchers n] [--subscribe-ratio x] [--shots n] [--seed n] [--json] [--churn] [--churn-secs s] [--psk-file f]\n       eqasm-cli watch --connect <addr> --job <id> [--resume-after batches] [--psk-file f]\n       eqasm-cli worker --listen <addr> [--capacity n] [--name s] [--psk-file f] [--job-cache n] [--max-frame bytes] [--rate-limit req/s] [--metrics addr]"
+        "usage: eqasm-cli <asm|disasm|run|lift> <file> [--seed n] [--shots n] [--workers n] [--chip name] [--trace]\n       eqasm-cli <workload|serve> <rabi|allxy|rb|active-reset|mix> [--shots n] [--workers n] [--seed n] [--remote host:port,...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli serve --listen <addr> [--workers n] [--remote ...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli submit <rabi|allxy|rb|active-reset|mix> --connect <addr> [--shots n] [--seed n] [--verify-serial] [--psk-file f]\n       eqasm-cli status --connect <addr> --job <id> [--job <id> ...] [--psk-file f]\n       eqasm-cli churn [rabi|allxy|rb|active-reset|stabilizer|mix] --connect <addr> [--scrape addr] [--churn-secs s] [--connections n] [--shots n] [--seed n] [--psk-file f]\n       eqasm-cli watch --connect <addr> --job <id> [--resume-after batches] [--psk-file f]\n       eqasm-cli worker --listen <addr> [--capacity n] [--name s] [--psk-file f] [--job-cache n] [--max-frame bytes] [--rate-limit req/s] [--metrics addr]"
     );
     ExitCode::from(2)
 }
@@ -235,10 +197,10 @@ fn main() -> ExitCode {
 
     // `worker`, `status` and `watch` take only flags; `serve` may run
     // spec-less as a pure network service (`serve --listen`), and
-    // `loadgen`'s spec is optional (defaulting to `mix`).
+    // `churn`'s spec is optional (defaulting to `mix`).
     let flag_start = match command {
         "worker" | "status" | "watch" => 1,
-        "serve" | "loadgen" if args.len() > 1 && args[1].starts_with("--") => 1,
+        "serve" | "churn" if args.len() > 1 && args[1].starts_with("--") => 1,
         _ => 2,
     };
     if args.len() < flag_start {
@@ -272,10 +234,10 @@ fn main() -> ExitCode {
     let mut metrics_addr: Option<String> = None;
     let mut journal_dir: Option<String> = None;
     let mut journal_fsync: Option<FsyncPolicy> = None;
-    let mut lg = LoadgenOpts::default();
-    // Flags that only mean something to `loadgen`; accepting them
+    let mut churn = ChurnOpts::default();
+    // Flags that only mean something to `churn`; accepting them
     // elsewhere would silently do nothing.
-    let mut loadgen_flags: Vec<&'static str> = Vec::new();
+    let mut churn_flags: Vec<&'static str> = Vec::new();
     let mut i = flag_start;
     while i < args.len() {
         match args[i].as_str() {
@@ -433,162 +395,34 @@ fn main() -> ExitCode {
                 }
                 i += 2;
             }
-            // The loadgen knobs fail closed like the budget flags: a
-            // typo in a ceiling must refuse to start, not silently
-            // sweep with the default.
-            "--initial-rps" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.initial_rps = r,
-                    None => {
-                        eprintln!("error: --initial-rps wants a positive rate");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--initial-rps");
-                i += 2;
-            }
-            "--rps-step" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.rps_step = Some(r),
-                    None => {
-                        eprintln!("error: --rps-step wants a positive rate increment");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rps-step");
-                i += 2;
-            }
-            "--rps-factor" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|f| *f > 1.0) {
-                    Some(f) => lg.rps_factor = Some(f),
-                    None => {
-                        eprintln!("error: --rps-factor wants a factor > 1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rps-factor");
-                i += 2;
-            }
-            "--max-rps" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.max_rps = r,
-                    None => {
-                        eprintln!("error: --max-rps wants a positive rate");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--max-rps");
-                i += 2;
-            }
-            "--rung-secs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|s| *s > 0.0) {
-                    Some(s) => lg.rung_secs = s,
-                    None => {
-                        eprintln!("error: --rung-secs wants a positive duration");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rung-secs");
-                i += 2;
-            }
-            "--drain-secs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|s| *s >= 0.0) {
-                    Some(s) => lg.drain_secs = s,
-                    None => {
-                        eprintln!("error: --drain-secs wants a duration in seconds");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--drain-secs");
-                i += 2;
-            }
-            "--stop-failure-rate" if i + 1 < args.len() => {
-                match args[i + 1]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| (0.0..=1.0).contains(x))
-                {
-                    Some(x) => lg.stop_failure_rate = x,
-                    None => {
-                        eprintln!("error: --stop-failure-rate wants a fraction in 0..=1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--stop-failure-rate");
-                i += 2;
-            }
-            "--stop-p50-ms" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|x| *x > 0.0) {
-                    Some(x) => lg.stop_p50_ms = x,
-                    None => {
-                        eprintln!("error: --stop-p50-ms wants a positive duration in ms");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--stop-p50-ms");
-                i += 2;
-            }
+            // The churn knobs fail closed like the budget flags: a
+            // typo must refuse to start, not silently churn with the
+            // default.
             "--connections" if i + 1 < args.len() => {
                 match args[i + 1].parse::<usize>().ok().filter(|n| *n > 0) {
-                    Some(n) => lg.connections = n,
+                    Some(n) => churn.connections = n,
                     None => {
                         eprintln!("error: --connections wants a positive count");
                         return usage();
                     }
                 }
-                loadgen_flags.push("--connections");
-                i += 2;
-            }
-            "--watchers" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) => lg.watchers = n,
-                    Err(_) => {
-                        eprintln!("error: --watchers wants a connection count");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--watchers");
-                i += 2;
-            }
-            "--subscribe-ratio" if i + 1 < args.len() => {
-                match args[i + 1]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| (0.0..=1.0).contains(x))
-                {
-                    Some(x) => lg.subscribe_ratio = x,
-                    None => {
-                        eprintln!("error: --subscribe-ratio wants a fraction in 0..=1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--subscribe-ratio");
+                churn_flags.push("--connections");
                 i += 2;
             }
             "--scrape" if i + 1 < args.len() => {
-                lg.scrape = Some(args[i + 1].clone());
-                loadgen_flags.push("--scrape");
+                churn.scrape = Some(args[i + 1].clone());
+                churn_flags.push("--scrape");
                 i += 2;
-            }
-            "--json" => {
-                lg.json = true;
-                loadgen_flags.push("--json");
-                i += 1;
-            }
-            "--churn" => {
-                lg.churn = true;
-                loadgen_flags.push("--churn");
-                i += 1;
             }
             "--churn-secs" if i + 1 < args.len() => {
                 match args[i + 1].parse::<f64>().ok().filter(|s| *s > 0.0) {
-                    Some(s) => lg.churn_secs = s,
+                    Some(s) => churn.churn_secs = s,
                     None => {
                         eprintln!("error: --churn-secs wants a positive duration");
                         return usage();
                     }
                 }
-                loadgen_flags.push("--churn-secs");
+                churn_flags.push("--churn-secs");
                 i += 2;
             }
             other => {
@@ -609,11 +443,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if command != "loadgen" && !loadgen_flags.is_empty() {
-        eprintln!(
-            "error: {} applies to `loadgen` only",
-            loadgen_flags.join(", ")
-        );
+    if command != "churn" && !churn_flags.is_empty() {
+        eprintln!("error: {} applies to `churn` only", churn_flags.join(", "));
         return usage();
     }
 
@@ -658,13 +489,13 @@ fn main() -> ExitCode {
         };
     }
 
-    if command == "loadgen" {
+    if command == "churn" {
         let Some(addr) = connect else {
-            eprintln!("error: loadgen requires --connect <addr>");
+            eprintln!("error: churn requires --connect <addr>");
             return usage();
         };
         let spec = if target.is_empty() { "mix" } else { target };
-        return match cmd_loadgen(spec, &addr, shots.unwrap_or(200), seed, psk, &lg) {
+        return match cmd_churn(spec, &addr, shots.unwrap_or(200_000), seed, psk, &churn) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1320,124 +1151,54 @@ fn client_opts(psk: Option<Psk>) -> ConnectOptions {
     opts
 }
 
-/// Drives a running coordinator from the open-loop load generator:
-/// either a capacity sweep (step the target submission rate per rung
-/// until a failure-rate or p50-latency ceiling is breached, printing
-/// the per-rung table and optionally the `capacity` JSON object) or,
-/// with `--churn`, a subscriber-churn sweep that cycles
-/// connect/subscribe/resume/disconnect watchers and verifies resume
-/// correctness.
-fn cmd_loadgen(
+/// Runs a subscriber-churn sweep against a running coordinator:
+/// cycles connect/subscribe/resume/disconnect watchers on the first
+/// workload of the named mix and fails on any resume violation.
+fn cmd_churn(
     spec: &str,
     addr: &str,
     shots: u64,
     seed: u64,
     psk: Option<Psk>,
-    lg: &LoadgenOpts,
+    opts: &ChurnOpts,
 ) -> Result<(), String> {
-    use eqasm::runtime::loadgen::RpsStep;
-    use std::time::Duration;
-
-    if lg.rps_step.is_some() && lg.rps_factor.is_some() {
-        return Err("--rps-step and --rps-factor are mutually exclusive".into());
-    }
     let mut target = SweepTarget::new(addr).with_options(client_opts(psk));
-    if let Some(scrape) = &lg.scrape {
+    if let Some(scrape) = &opts.scrape {
         target = target.with_metrics(scrape.clone());
-    } else {
-        println!(
-            "note: no --scrape <addr> given; rung reports carry client-side figures only \
-             (no queue depth, rejection or shots-completed truth from the coordinator)"
-        );
     }
-
-    if lg.churn {
-        // Churn wants one long-running job to subscribe against; the
-        // first class of the named mix provides its shape, the sweep
-        // resubmits it whenever it completes.
-        let template = built_in_specs(spec, shots, seed)?.swap_remove(0);
-        let config = ChurnConfig {
-            workers: lg.connections,
-            duration: Duration::from_secs_f64(lg.churn_secs),
-            ..ChurnConfig::default()
-        };
-        println!(
-            "churn sweep against {addr}: {} workers for {:.1}s (job template `{}`)",
-            config.workers, lg.churn_secs, template.name
-        );
-        let report = churn_sweep(&template, &target, &config).map_err(|e| e.to_string())?;
-        println!(
-            "cycles: {} ({:.1}/s), resumed: {}, snapshots: {}, jobs driven: {}",
-            report.cycles,
-            report.cycles_per_sec,
-            report.resumed_cycles,
-            report.snapshots,
-            report.jobs_driven
-        );
-        if let Some(w) = report.reactor_wakeups_per_sec {
-            println!("reactor wakeups/sec: {w:.0}");
-        }
-        if let Some(r) = report.server_resumes {
-            println!("server-side subscription resumes: {r}");
-        }
-        if report.resume_violations > 0 {
-            return Err(format!(
-                "{} resume violation(s): a resumed subscription delivered a snapshot older \
-                 than its resume point (or a stream went backwards)",
-                report.resume_violations
-            ));
-        }
-        println!("resume correctness: OK (0 violations)");
-        return Ok(());
-    }
-
-    let classes: Vec<LoadClass> = built_in_specs(spec, shots, seed)?
-        .into_iter()
-        .map(|s| LoadClass {
-            tenant: s.name.clone(),
-            share: s.weight.max(1),
-            spec: s,
-        })
-        .collect();
-    let load = LoadSpec::new(classes)
-        .with_connections(lg.connections)
-        .with_watchers(lg.watchers)
-        .with_subscribe_ratio(lg.subscribe_ratio)
-        .with_seed(seed);
-    let step = match (lg.rps_step, lg.rps_factor) {
-        (Some(inc), None) => RpsStep::Add(inc),
-        (None, Some(f)) => RpsStep::Mul(f),
-        _ => RpsStep::Mul(2.0),
-    };
-    let config = SweepConfig {
-        initial_rps: lg.initial_rps,
-        step,
-        max_rps: lg.max_rps,
-        window: Duration::from_secs_f64(lg.rung_secs),
-        drain_timeout: Duration::from_secs_f64(lg.drain_secs),
-        stop: Ceilings {
-            failure_rate: lg.stop_failure_rate,
-            p50: Duration::from_secs_f64(lg.stop_p50_ms / 1e3),
-        },
-        ..SweepConfig::default()
+    let template = built_in_specs(spec, shots, seed)?.swap_remove(0);
+    let config = ChurnConfig {
+        workers: opts.connections,
+        duration: std::time::Duration::from_secs_f64(opts.churn_secs),
+        ..ChurnConfig::default()
     };
     println!(
-        "capacity sweep of `{spec}` against {addr}: {:.1} rps, {} per rung, \
-         {:.1}s rungs, stop at failure >= {:.0}% or p50 >= {:.0} ms",
-        config.initial_rps,
-        match step {
-            RpsStep::Add(inc) => format!("+{inc:.1}"),
-            RpsStep::Mul(f) => format!("x{f:.1}"),
-        },
-        lg.rung_secs,
-        lg.stop_failure_rate * 100.0,
-        lg.stop_p50_ms
+        "churn sweep against {addr}: {} workers for {:.1}s (job template `{}`, {} shots)",
+        config.workers, opts.churn_secs, template.name, template.shots
     );
-    let report = capacity_sweep(&load, &target, &config).map_err(|e| e.to_string())?;
-    print!("{}", report.table());
-    if lg.json {
-        println!("{}", report.to_json(""));
+    let report = churn_sweep(&template, &target, &config).map_err(|e| e.to_string())?;
+    println!(
+        "cycles: {} ({:.1}/s), resumed: {}, snapshots: {}, jobs driven: {}",
+        report.cycles,
+        report.cycles_per_sec,
+        report.resumed_cycles,
+        report.snapshots,
+        report.jobs_driven
+    );
+    if let Some(w) = report.reactor_wakeups_per_sec {
+        println!("reactor wakeups/sec: {w:.0}");
     }
+    if let Some(r) = report.server_resumes {
+        println!("server-side subscription resumes: {r}");
+    }
+    if report.resume_violations > 0 {
+        return Err(format!(
+            "{} resume violation(s): a resumed subscription delivered a snapshot older \
+             than its resume point (or a stream went backwards)",
+            report.resume_violations
+        ));
+    }
+    println!("resume correctness: OK (0 violations)");
     Ok(())
 }
 
